@@ -38,6 +38,8 @@
 #                   4 concurrent clients, bit-identical arrivals, live
 #                   /metrics, a valid --trace, and a clean SIGTERM
 #                   drain, all under a hard watchdog
+#   make bench-selftest the benchmark suite's self-tests (imports, answer
+#                   digests, metric contract; runs no workloads, ~3 s)
 #   make verify-deep    the deep conformance sweep: 200 cases per seed
 #                   over seeds 0-2; run before releases / after engine
 #                   changes, not in CI
@@ -57,7 +59,7 @@ BENCH_FILES := benchmarks/BENCH_timing.json benchmarks/BENCH_batch.json \
 
 .PHONY: test test-slow perf perf-parallel perf-kernel perf-delta \
         perf-trace perf-service verify-smoke verify-deep trace-smoke \
-        service-smoke check check-fast bench bench-all goldens
+        service-smoke bench-selftest check check-fast bench bench-all goldens
 
 test:
 	$(PYTEST) -x -q
@@ -101,11 +103,14 @@ trace-smoke:
 service-smoke:
 	PYTHONPATH=$(PYTHONPATH) python -m repro.service.smoke --watchdog 300
 
-check: test test-slow perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
+bench-selftest:
+	$(PYTEST) benchmarks/suite -q
+
+check: test test-slow bench-selftest perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
 
 # CI's gate: everything in `check` except the slow tier (analog golden
 # references are too heavy for shared runners).
-check-fast: test perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
+check-fast: test bench-selftest perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
 
 # Refresh every perf baseline and commit the result.  REPRO_BENCH_NO_FAIL
 # disables the wall-clock guards (new hardware re-records cleanly); the

@@ -146,13 +146,12 @@ def test_kernel_speedup_and_differential(cmos_char, emit):
 
     lines = ["vectorized kernel (rca32 cold analysis)",
              f"{'kernel':<8} {'seconds':>9} {'templates':>10} "
-             f"{'shared':>7} {'hits':>7} {'batches':>8}"]
+             f"{'hits':>7} {'batches':>8}"]
     for kernel, row in rows.items():
         c = row["counters"]
         lines.append(
             f"{kernel:<8} {row['analyzer_seconds']:>9.4f} "
             f"{c.get('tree_template_misses', 0):>10} "
-            f"{c.get('tree_template_shared', 0):>7} "
             f"{c.get('tree_template_hits', 0):>7} "
             f"{c.get('kernel_batches', 0):>8}")
     if speedup is not None:

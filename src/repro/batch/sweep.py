@@ -5,7 +5,7 @@ orders of magnitude faster than circuit simulation; this module is the
 many-questions part.  :func:`run_sweep` pushes every vector of a
 :class:`~repro.batch.vectors.VectorSource` through **one**
 :class:`~repro.core.timing.TimingAnalyzer`, so the path enumerations, RC
-trees, trigger indexes, and the delay-model memo built for the first
+trees, candidate tables, and the delay-model memo built for the first
 scenario are reused by all the rest — marginal model evaluations per
 scenario approach zero (DESIGN.md §5b).  The results are bit-identical
 to running each vector through a fresh analyzer; the differential tests

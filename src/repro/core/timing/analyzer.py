@@ -10,15 +10,16 @@ graph:
    priority worklist keyed by the arrival time — stages are therefore
    visited roughly in topological/temporal order, which makes most visits
    final on feed-forward logic;
-3. a stage visit is **demand-driven**: a per-stage index maps each trigger
-   event to the exact (target node, transition, path, trigger) delay
-   candidates it can affect, so only the candidates whose upstream event
-   actually changed are re-evaluated (the first visit evaluates the stage
-   exhaustively to seed the index);
-4. delay-model answers are memoized on
-   ``(stage, target, transition, path, trigger kind, quantized slope)`` —
-   an upstream arrival whose *time* improved but whose *slope* did not
-   re-uses the cached stage delay outright;
+3. a stage visit reads the stage's **candidate tables**, one per
+   (target node, transition), built on first use: every (path, trigger)
+   candidate in canonical order, with its trigger event and delay-memo
+   key.  The first visit evaluates every candidate; later visits
+   re-evaluate only those whose trigger event actually changed;
+4. delay-model answers are memoized on the stage's isomorphism
+   representative, ``(representative stage, target, transition, path,
+   trigger kind, quantized slope)`` — isomorphic stages share one set of
+   answers, and an upstream arrival whose *time* improved but whose
+   *slope* did not re-uses the cached stage delay outright;
 5. the process reaches a fixpoint because arrivals only ever increase; an
    iteration cap catches genuine timing loops.
 
@@ -58,7 +59,7 @@ from ...netlist.stages import Stage
 from ...perf import PerfCounters, StageCostModel
 from ...rctree import RCTree, TreeTemplate, kernel_available
 from ...switchlevel import Logic
-from ...tech import Transition
+from ...tech import DeviceKind, Transition
 from ...trace.spans import (
     NULL_SCOPE,
     current as _trace_current,
@@ -90,13 +91,11 @@ _RELATIVE_EPSILON = 1e-9
 
 #: Deterministic iteration order of transitions (enum declaration order).
 _TRANSITIONS: Tuple[Transition, ...] = tuple(Transition)
-_TRANSITION_ORDER: Dict[Transition, int] = {
-    t: i for i, t in enumerate(_TRANSITIONS)
-}
 
 #: Canonical rank of a primary-input arrival: beats any computed candidate
 #: of equal time (a stage never displaces the user's own input timing).
-_PRIMARY_RANK: Tuple[int, int] = (-1, -1)
+#: A computed candidate's rank is its position in its candidate table.
+_PRIMARY_RANK = -1
 
 
 @dataclass(frozen=True)
@@ -225,25 +224,33 @@ class TimingResult:
         return chain
 
 
-class _IndexEntry:
-    """One delay candidate a trigger event can affect, in a fixed stage.
+class _Candidates:
+    """The delay candidates of one (stage, target, transition).
 
-    ``order`` is the path's position in the stage's path enumeration and
-    ``trigger_pos`` the trigger's position within the path — together the
-    candidate's canonical tie-break rank.
+    One entry per (path, trigger) pair in canonical order (path
+    enumeration order, then trigger order), so an entry's position is its
+    tie-break rank.  ``triggers`` holds each entry's interned trigger
+    event and ``keys`` its delay-memo key, a small int naming (isomorphism
+    representative, target, transition, path order, trigger kind) — so
+    isomorphic stages share one ``keys`` tuple and one set of answers.
     """
 
-    __slots__ = ("node", "transition", "order", "trigger_pos", "path",
-                 "trigger")
+    __slots__ = ("event", "paths", "triggers", "keys")
 
-    def __init__(self, node: str, transition: Transition, order: int,
-                 trigger_pos: int, path: SensitizedPath, trigger: Trigger):
-        self.node = node
-        self.transition = transition
-        self.order = order
-        self.trigger_pos = trigger_pos
-        self.path = path
-        self.trigger = trigger
+    def __init__(self, event: Event, paths: List[SensitizedPath],
+                 triggers: Tuple[Event, ...], keys: Tuple[int, ...]):
+        self.event = event
+        self.paths = paths
+        self.triggers = triggers
+        self.keys = keys
+
+    def locate(self, rank: int) -> Tuple[SensitizedPath, Trigger]:
+        """The (path, trigger) pair of the entry at *rank*."""
+        for path in self.paths:
+            if rank < len(path.triggers):
+                return path, path.triggers[rank]
+            rank -= len(path.triggers)
+        raise IndexError(rank)
 
 
 class TimingAnalyzer:
@@ -295,8 +302,8 @@ class TimingAnalyzer:
 
     Caching and invalidation
     ------------------------
-    Path enumerations, RC trees, compiled tree templates, the per-stage
-    trigger index, and the delay-model memo are all keyed on state that is
+    Path enumerations, RC trees, compiled tree templates, the candidate
+    tables, and the delay-model memo are all keyed on state that is
     fixed at construction time (network topology, ``states``, the model,
     the technology), so they live for the analyzer's lifetime and are
     shared across ``analyze()`` calls — a second run of the same scenario
@@ -321,8 +328,9 @@ class TimingAnalyzer:
         self.states = states
         self.initial_states = initial_states
         self.incremental = incremental
-        if slope_quantum < 0:
-            raise TimingError(f"negative slope quantum {slope_quantum!r}")
+        if not (math.isfinite(slope_quantum) and slope_quantum >= 0):
+            raise TimingError("slope quantum must be finite and "
+                              f"non-negative, got {slope_quantum!r}")
         self.slope_quantum = float(slope_quantum)
         if kernel not in ("numpy", "python"):
             raise TimingError(
@@ -340,30 +348,37 @@ class TimingAnalyzer:
                           List[SensitizedPath]] = {}
         self._trees: Dict[Tuple[int, str, Transition, int], RCTree] = {}
         # Compiled tree templates, same key as the dict-tree cache; which
-        # one a kernel fills is an either/or (``self.kernel``).
+        # one a kernel fills is an either/or (``self.kernel``).  Both hold
+        # representative stages only.
         self._templates: Dict[Tuple[int, str, Transition, int],
                               TreeTemplate] = {}
         # Per-stage derived-structure caches (adjacencies, pair index,
         # reachability, merged edge resistances) shared by every path
         # enumeration and tree/template build of the stage.
         self._stage_caches: Dict[int, StageCaches] = {}
-        # Structural sharing (repro.core.timing.stage_iso): one
-        # representative stage per canonical signature does the real
-        # enumeration/compilation; isomorphic stages instantiate its
-        # results through a name substitution.  _stage_iso maps
+        # Structural sharing (repro.core.timing.stage_iso): the lowest-
+        # index stage of each canonical signature is its representative
+        # and does the real enumeration/compilation; isomorphic stages
+        # translate its paths and share its delay-memo keys.  Maps
         # stage.index -> (representative stage, name_map, inverse map,
         # element map); the maps are None on the representative itself.
         self._stage_iso: Dict[int, Tuple[Stage, Optional[Dict[str, str]],
                                          Optional[Dict[str, str]],
                                          Optional[Dict]]] = {}
-        self._sig_reps: Dict[Tuple, Tuple[Stage, Tuple[str, ...]]] = {}
         # Network-wide node capacitance memo shared across stages.
         self._node_caps: Dict[str, float] = {}
-        # Delay-model memo: (stage, node, transition, path order,
-        # trigger kind, quantized slope) -> StageDelay.
-        self._delay_cache: Dict[Tuple, StageDelay] = {}
-        # Per-stage reverse index: trigger event -> candidates it affects.
-        self._trigger_index: Dict[int, Dict[Event, List[_IndexEntry]]] = {}
+        # Interned events: one Event object per (node, transition).
+        self._events: Dict[Tuple[str, Transition], Event] = {}
+        # Candidate tables per stage, in canonical target order.
+        self._tables: Dict[int, Tuple[_Candidates, ...]] = {}
+        # Memo keys per representative (stage, target, transition), and
+        # per memo key the representative's request data.
+        self._rep_keys: Dict[Tuple[int, str, Transition],
+                             Tuple[int, ...]] = {}
+        self._memo_requests: List[Tuple[Stage, SensitizedPath, int,
+                                        DeviceKind]] = []
+        # Delay-model memo: (memo key, quantized slope) -> StageDelay.
+        self._delay_cache: Dict[Tuple[int, float], StageDelay] = {}
         #: observed delay candidates per stage — the cost model the
         #: parallel chunker balances level fronts with (repro.parallel)
         self.stage_costs = StageCostModel()
@@ -374,12 +389,12 @@ class TimingAnalyzer:
         # immutable (mutating result.arrivals corrupts the next delta).
         self._carryover: Optional[Tuple[Dict[str, InputSpec],
                                         Dict[Event, Arrival],
-                                        Dict[Event, Tuple[int, int]]]] = None
+                                        Dict[Event, int]]] = None
 
     # ------------------------------------------------------------------
 
     def invalidate_caches(self) -> None:
-        """Drop every derived cache (paths, RC trees, trigger indexes,
+        """Drop every derived cache (paths, RC trees, candidate tables,
         memoized stage delays) and rebuild the stage graph.  Call after
         mutating the network (device geometry, added loads, added
         devices), the technology tables, or the model in place — a stale
@@ -389,10 +404,12 @@ class TimingAnalyzer:
         self._templates.clear()
         self._stage_caches.clear()
         self._stage_iso.clear()
-        self._sig_reps.clear()
         self._node_caps.clear()
+        self._events.clear()
+        self._tables.clear()
+        self._rep_keys.clear()
+        self._memo_requests.clear()
         self._delay_cache.clear()
-        self._trigger_index.clear()
         self.stage_costs.clear()
         self._carryover = None
         with self.perf.timer("stage_graph_build"):
@@ -521,7 +538,7 @@ class TimingAnalyzer:
     def _propagate_delta(self, inputs: Mapping[str, Union[InputSpec, float]],
                          perf: PerfCounters
                          ) -> Tuple[Dict[Event, Arrival],
-                                    Dict[Event, Tuple[int, int]],
+                                    Dict[Event, int],
                                     Dict[str, InputSpec]]:
         prev_inputs, prev_arrivals, prev_ranks = self._carryover
         normalized = self._normalize_inputs(inputs)
@@ -548,12 +565,12 @@ class TimingAnalyzer:
         for index in cone:
             for node in stages[index].internal_nodes:
                 for transition in _TRANSITIONS:
-                    event = Event(node, transition)
+                    event = self._event(node, transition)
                     if arrivals.pop(event, None) is not None:
                         ranks.pop(event, None)
         for name in changed:
             for transition in _TRANSITIONS:
-                event = Event(name, transition)
+                event = self._event(name, transition)
                 arrivals.pop(event, None)
                 ranks.pop(event, None)
         perf.incr("arrivals_reused", len(arrivals))
@@ -566,7 +583,7 @@ class TimingAnalyzer:
                 time = spec.arrival(transition)
                 if time is None:
                     continue
-                event = Event(name, transition)
+                event = self._event(name, transition)
                 arrivals[event] = Arrival(time=time, slope=spec.slope)
                 ranks[event] = _PRIMARY_RANK
                 seeds.append((event, time))
@@ -580,7 +597,7 @@ class TimingAnalyzer:
         """Analyze a batch of input scenarios against this one analyzer.
 
         Every scenario runs with the same analyzer-lifetime caches (path
-        enumerations, RC trees, trigger indexes, the delay-model memo), so
+        enumerations, RC trees, candidate tables, the delay-model memo), so
         after the first scenario pays the setup cost the marginal model
         evaluations per scenario approach zero — the sweep amortization
         the ROADMAP's multi-scenario batching item asks for (DESIGN.md
@@ -612,10 +629,10 @@ class TimingAnalyzer:
     def _propagate(self, inputs: Mapping[str, Union[InputSpec, float]],
                    perf: PerfCounters
                    ) -> Tuple[Dict[Event, Arrival],
-                              Dict[Event, Tuple[int, int]],
+                              Dict[Event, int],
                               Dict[str, InputSpec]]:
         arrivals: Dict[Event, Arrival] = {}
-        ranks: Dict[Event, Tuple[int, int]] = {}
+        ranks: Dict[Event, int] = {}
         normalized = self._normalize_inputs(inputs)
         seeds: List[Tuple[Event, float]] = []
         for name, spec in normalized.items():
@@ -623,7 +640,7 @@ class TimingAnalyzer:
                 time = spec.arrival(transition)
                 if time is None:
                     continue
-                event = Event(name, transition)
+                event = self._event(name, transition)
                 arrivals[event] = Arrival(time=time, slope=spec.slope)
                 ranks[event] = _PRIMARY_RANK
                 seeds.append((event, time))
@@ -631,7 +648,7 @@ class TimingAnalyzer:
         return arrivals, ranks, normalized
 
     def _run_worklist(self, arrivals: Dict[Event, Arrival],
-                      ranks: Dict[Event, Tuple[int, int]],
+                      ranks: Dict[Event, int],
                       perf: PerfCounters,
                       seeds: Iterable[Tuple[Event, float]],
                       forced: Iterable[int] = ()) -> None:
@@ -734,6 +751,11 @@ class TimingAnalyzer:
             if not isinstance(spec, InputSpec):
                 spec = InputSpec(arrival_rise=float(spec),
                                  arrival_fall=float(spec))
+            for value in (spec.arrival_rise, spec.arrival_fall, spec.slope):
+                if value is not None and not math.isfinite(value):
+                    raise TimingError(
+                        f"input {name!r}: timing value {value!r} is not "
+                        "finite")
             normalized[node.name] = spec
         missing = [n.name for n in self.network.inputs()
                    if n.name not in normalized]
@@ -745,27 +767,38 @@ class TimingAnalyzer:
 
     # -- static caches --------------------------------------------------
 
+    def _event(self, node: str, transition: Transition) -> Event:
+        """The interned event of (node, transition)."""
+        event = self._events.get((node, transition))
+        if event is None:
+            event = self._events[(node, transition)] = Event(node,
+                                                             transition)
+        return event
+
     def _rep_for(self, stage: Stage) -> Tuple[Stage, Optional[Dict[str, str]],
                                               Optional[Dict[str, str]],
                                               Optional[Dict]]:
         """The stage's structural-sharing record: its representative
         stage plus the name/element substitutions (None when the stage
-        *is* the representative of its signature)."""
-        entry = self._stage_iso.get(stage.index)
-        if entry is None:
-            signature, names = stage_signature(
-                self.network, stage, self.states, cap_cache=self._node_caps)
-            rep = self._sig_reps.get(signature)
-            if rep is None:
-                self._sig_reps[signature] = (stage, names)
-                entry = (stage, None, None, None)
-            else:
-                rep_stage, rep_names = rep
-                name_map, inverse = build_maps(rep_names, names)
-                entry = (rep_stage, name_map, inverse,
-                         element_map(rep_stage, stage))
-            self._stage_iso[stage.index] = entry
-        return entry
+        *is* the representative of its signature).
+
+        Every stage is classified on first use, lowest index first, so
+        the representatives — and with them the template-cache keys
+        :meth:`export_templates` ships — do not depend on visit order."""
+        if not self._stage_iso:
+            reps: Dict[Tuple, Tuple[Stage, Tuple[str, ...]]] = {}
+            for other in self.graph.stages:
+                signature, names = stage_signature(
+                    self.network, other, self.states,
+                    cap_cache=self._node_caps)
+                rep, rep_names = reps.setdefault(signature, (other, names))
+                if rep is other:
+                    self._stage_iso[other.index] = (other, None, None, None)
+                else:
+                    self._stage_iso[other.index] = (
+                        rep, *build_maps(rep_names, names),
+                        element_map(rep, other))
+        return self._stage_iso[stage.index]
 
     def _stage_paths(self, stage: Stage, node: str,
                      transition: Transition) -> List[SensitizedPath]:
@@ -814,24 +847,12 @@ class TimingAnalyzer:
             _trace_instant("template_hit", stage=stage.index,
                            target=path.target)
             return template
-        rep, name_map, inverse, elements = self._rep_for(stage)
-        if name_map is None:
-            self._count("tree_template_misses")
-            with _trace_span("template_compile", stage=stage.index,
-                             target=path.target):
-                template = compile_template(
-                    self.network, stage, path, states=self.states,
-                    caches=self._caches_for(stage),
-                    cap_cache=self._node_caps)
-        else:
-            with _trace_span("template_share", stage=stage.index,
-                             rep=rep.index):
-                rep_paths = self._stage_paths(rep, inverse[path.target],
-                                              path.transition)
-                template = TreeTemplate.translated(
-                    self._template_for(rep, rep_paths[order], order),
-                    name_map, elements)
-            self._count("tree_template_shared")
+        self._count("tree_template_misses")
+        with _trace_span("template_compile", stage=stage.index,
+                         target=path.target):
+            template = compile_template(
+                self.network, stage, path, states=self.states,
+                caches=self._caches_for(stage), cap_cache=self._node_caps)
         self._templates[key] = template
         return template
 
@@ -839,10 +860,11 @@ class TimingAnalyzer:
                                        TreeTemplate]:
         """Snapshot of the compiled-template cache.  Template keys are
         deterministic functions of the network and ``states`` (stage
-        indices from :meth:`StageGraph.build`, path order from
-        :func:`enumerate_paths`), so the snapshot is valid in any other
-        analyzer built from equal inputs — the parallel workers are
-        seeded this way instead of recompiling per process."""
+        indices from :meth:`StageGraph.build`, representatives from
+        :meth:`_rep_for`, path order from :func:`enumerate_paths`), so
+        the snapshot is valid in any other analyzer built from equal
+        inputs — the parallel workers are seeded this way instead of
+        recompiling per process."""
         return dict(self._templates)
 
     def seed_templates(self, templates: Mapping[Tuple[int, str, Transition,
@@ -852,24 +874,48 @@ class TimingAnalyzer:
         Seeded entries count as template hits on first use, not misses."""
         self._templates.update(templates)
 
-    def _trigger_index_for(self, stage: Stage
-                           ) -> Dict[Event, List[_IndexEntry]]:
-        index = self._trigger_index.get(stage.index)
-        if index is None:
-            index = {}
+    def _table_for(self, stage: Stage) -> Tuple[_Candidates, ...]:
+        """The stage's candidate tables, one per admissible (internal
+        node, transition) in canonical order (built on first use)."""
+        tables = self._tables.get(stage.index)
+        if tables is None:
+            rep, name_map, inverse, _ = self._rep_for(stage)
+            built = []
             for node in sorted(stage.internal_nodes):
                 for transition in _TRANSITIONS:
                     if not self._event_allowed(node, transition):
                         continue
                     paths = self._stage_paths(stage, node, transition)
-                    for order, path in enumerate(paths):
-                        for pos, trigger in enumerate(path.triggers):
-                            event = Event(trigger.input_node,
-                                          trigger.input_transition)
-                            index.setdefault(event, []).append(_IndexEntry(
-                                node, transition, order, pos, path, trigger))
-            self._trigger_index[stage.index] = index
-        return index
+                    built.append(_Candidates(
+                        self._event(node, transition), paths,
+                        tuple(self._event(t.input_node, t.input_transition)
+                              for path in paths for t in path.triggers),
+                        self._memo_keys(rep, node if name_map is None
+                                        else inverse[node], transition)))
+            tables = self._tables[stage.index] = tuple(built)
+        return tables
+
+    def _memo_keys(self, rep: Stage, node: str,
+                   transition: Transition) -> Tuple[int, ...]:
+        """Delay-memo keys of a representative's (node, transition)
+        candidates: one small int per distinct (path order, trigger kind),
+        whose request data is appended to ``_memo_requests``."""
+        keys = self._rep_keys.get((rep.index, node, transition))
+        if keys is None:
+            ids: Dict[Tuple[int, int], int] = {}
+            built = []
+            for order, path in enumerate(self._stage_paths(rep, node,
+                                                           transition)):
+                for trigger in path.triggers:
+                    memo = ids.get((order, trigger.kind_code))
+                    if memo is None:
+                        memo = ids[(order, trigger.kind_code)] = len(
+                            self._memo_requests)
+                        self._memo_requests.append(
+                            (rep, path, order, trigger.device_kind))
+                    built.append(memo)
+            keys = self._rep_keys[(rep.index, node, transition)] = tuple(built)
+        return keys
 
     # -- memoized delay evaluation --------------------------------------
 
@@ -879,56 +925,45 @@ class TimingAnalyzer:
         step = math.log1p(self.slope_quantum)
         return math.exp(round(math.log(slope) / step) * step)
 
-    def _request_for(self, stage: Stage, path: SensitizedPath, order: int,
-                     trigger: Trigger, slope: float) -> StageRequest:
-        """The delay-model question for one memo miss, carrying either a
-        compiled template (numpy kernel) or a dict tree (python kernel)."""
-        if self.kernel == "numpy":
-            return StageRequest(
-                tree=None,
-                target=path.target,
-                transition=path.transition,
-                trigger_kind=trigger.device_kind,
-                input_slope=slope,
-                tech=self.network.tech,
-                template=self._template_for(stage, path, order),
-            )
+    def _request_for(self, memo: int, slope: float) -> StageRequest:
+        """The delay-model question for one memo miss, asked against the
+        representative's compiled template (numpy kernel) or dict tree
+        (python kernel)."""
+        rep, path, order, kind = self._memo_requests[memo]
+        template = (self._template_for(rep, path, order)
+                    if self.kernel == "numpy" else None)
         return StageRequest(
-            tree=self._tree_for(stage, path, order),
+            tree=(None if template is not None
+                  else self._tree_for(rep, path, order)),
             target=path.target,
             transition=path.transition,
-            trigger_kind=trigger.device_kind,
+            trigger_kind=kind,
             input_slope=slope,
             tech=self.network.tech,
+            template=template,
         )
 
-    def _best_candidate(self, stage: Stage,
-                        group: List[Tuple[int, int, SensitizedPath, Trigger]],
-                        arrivals: Mapping[Event, Arrival]
-                        ) -> Tuple[Optional[Arrival], Tuple[int, int], int]:
-        """Resolve a target's (order, trigger_pos, path, trigger)
-        candidate group and pick the winner under the deterministic
-        tie-break; also returns how many candidates had an upstream
-        arrival (the stage-cost observation).
+    def _best_candidate(self, stage_index: int, table: _Candidates,
+                        arrivals: Mapping[Event, Arrival],
+                        only: Optional[Set[Event]] = None
+                        ) -> Tuple[Optional[Arrival], int, int]:
+        """Pick the winner among a target's candidates (only those fed by
+        *only*, when given) under the deterministic tie-break; also
+        returns how many candidates had an upstream arrival (the
+        stage-cost observation).
 
-        The group's memo misses are gathered and handed to the model in
-        one :meth:`DelayModel.evaluate_many` batch — with the numpy kernel
-        they all share the stage's template-level time constants, so the
-        per-candidate marginal cost is a dict lookup.  Only the winning
-        candidate is materialized as an :class:`Arrival`; the losers never
-        leave (time, rank) form.
+        The memo misses are handed to the model in one
+        :meth:`DelayModel.evaluate_many` batch.  Only the winning
+        candidate is materialized as an :class:`Arrival`.
         """
         cache = self._delay_cache
-        stage_index = stage.index
         quantum = self.slope_quantum
-        plan: List[Tuple[Event, Arrival, Tuple, int, int, SensitizedPath,
-                         Trigger]] = []
-        pending_keys: List[Tuple] = []
-        pending_requests: List[StageRequest] = []
-        pending_seen: Set[Tuple] = set()
-        hits = 0
-        for order, pos, path, trigger in group:
-            event = Event(trigger.input_node, trigger.input_transition)
+        keys = table.keys
+        plan: List[Tuple[int, Arrival, Tuple[int, float]]] = []
+        misses: Dict[Tuple[int, float], None] = {}
+        for rank, event in enumerate(table.triggers):
+            if only is not None and event not in only:
+                continue
             upstream = arrivals.get(event)
             if upstream is None:
                 continue
@@ -937,58 +972,44 @@ class TimingAnalyzer:
                 slope = 0.0
             if quantum > 0.0:
                 slope = self._quantize_slope(slope)
-            key = (stage_index, path.target, path.transition_code, order,
-                   trigger.kind_code, slope)
-            if key in cache or key in pending_seen:
-                hits += 1
-            else:
-                pending_seen.add(key)
-                pending_keys.append(key)
-                pending_requests.append(
-                    self._request_for(stage, path, order, trigger, slope))
-            plan.append((event, upstream, key, order, pos, path, trigger))
-        if plan:
-            self._count("candidates", len(plan))
-        if hits:
-            self._count("model_cache_hits", hits)
-        if pending_requests:
-            self._count("model_cache_misses", len(pending_requests))
-            self._count("model_evals", len(pending_requests))
+            key = (keys[rank], slope)
+            if key not in cache:
+                misses[key] = None
+            plan.append((rank, upstream, key))
+        if not plan:
+            return None, _PRIMARY_RANK, 0
+        self._count("candidates", len(plan))
+        if len(plan) > len(misses):
+            self._count("model_cache_hits", len(plan) - len(misses))
+        if misses:
+            requests = [self._request_for(memo, slope)
+                        for memo, slope in misses]
+            self._count("model_cache_misses", len(requests))
+            self._count("model_evals", len(requests))
             if self.kernel == "numpy":
                 self._count("kernel_batches")
                 self._count("kernel_nodes",
-                            sum(len(r.template) for r in pending_requests))
+                            sum(len(r.template) for r in requests))
             with _trace_span("kernel_batch", stage=stage_index,
-                             requests=len(pending_requests),
-                             kernel=self.kernel):
-                results = self.model.evaluate_many(pending_requests)
-            for key, result in zip(pending_keys, results):
-                cache[key] = result
+                             requests=len(requests), kernel=self.kernel):
+                cache.update(zip(misses, self.model.evaluate_many(requests)))
 
-        # Winner selection on raw (time, rank), same ordering as _beats.
-        best = None  # (event, upstream, result, path, trigger)
-        best_time = 0.0
+        # Winner selection on raw (time, rank): ranks ascend, so a later
+        # candidate wins only when strictly later beyond the epsilon.
         best_rank = _PRIMARY_RANK
-        for event, upstream, key, order, pos, path, trigger in plan:
-            result = cache[key]
-            time = upstream.time + result.delay
-            if best is not None:
-                scale = max(abs(time), abs(best_time), 1e-30)
-                margin = _RELATIVE_EPSILON * scale
-                if time <= best_time + margin and (
-                        time < best_time - margin
-                        or (order, pos) >= best_rank):
-                    continue
-            best = (event, upstream, result, path, trigger)
-            best_time = time
-            best_rank = (order, pos)
-        if best is None:
-            return None, _PRIMARY_RANK, len(plan)
-        event, upstream, result, path, trigger = best
+        best_time = 0.0
+        for rank, upstream, key in plan:
+            time = upstream.time + cache[key].delay
+            if best_rank >= 0 and time <= best_time + _RELATIVE_EPSILON * max(
+                    abs(time), abs(best_time), 1e-30):
+                continue
+            best_rank, best_time, best_key = rank, time, key
+        result = cache[best_key]
+        path, trigger = table.locate(best_rank)
         return Arrival(
             time=best_time,
             slope=result.output_slope,
-            cause=event,
+            cause=table.triggers[best_rank],
             stage_delay=result,
             path=path,
             trigger=trigger,
@@ -1018,8 +1039,8 @@ class TimingAnalyzer:
     # -- candidate comparison -------------------------------------------
 
     @staticmethod
-    def _beats(candidate: Arrival, candidate_rank: Tuple[int, int],
-               current: Arrival, current_rank: Tuple[int, int]) -> bool:
+    def _beats(candidate: Arrival, candidate_rank: int,
+               current: Arrival, current_rank: int) -> bool:
         """Does *candidate* displace *current*?
 
         Strictly later (beyond the relative epsilon) always wins; within
@@ -1036,9 +1057,9 @@ class TimingAnalyzer:
 
     # -- stage evaluation -----------------------------------------------
 
-    def _commit(self, event: Event, best: Arrival, rank: Tuple[int, int],
+    def _commit(self, event: Event, best: Arrival, rank: int,
                 arrivals: Dict[Event, Arrival],
-                ranks: Dict[Event, Tuple[int, int]]) -> bool:
+                ranks: Dict[Event, int]) -> bool:
         current = arrivals.get(event)
         if current is not None and not self._beats(
                 best, rank, current, ranks.get(event, _PRIMARY_RANK)):
@@ -1048,44 +1069,40 @@ class TimingAnalyzer:
         self._count("arrival_updates")
         return True
 
-    @staticmethod
-    def _full_group(paths: List[SensitizedPath]
-                    ) -> List[Tuple[int, int, SensitizedPath, Trigger]]:
-        """Every (path, trigger) candidate of a target, canonical order."""
-        return [(order, pos, path, trigger)
-                for order, path in enumerate(paths)
-                for pos, trigger in enumerate(path.triggers)]
-
     def _evaluate_full(self, stage: Stage, arrivals: Dict[Event, Arrival],
-                       ranks: Dict[Event, Tuple[int, int]]) -> List[Event]:
-        """Recompute every internal-node arrival; return changed events.
+                       ranks: Dict[Event, int]) -> List[Event]:
+        """Recompute every internal-node arrival; return changed events."""
+        return self._evaluate_incremental(stage, None, arrivals, ranks)
+
+    def _evaluate_incremental(self, stage: Stage,
+                              events: Optional[Set[Event]],
+                              arrivals: Dict[Event, Arrival],
+                              ranks: Dict[Event, int]) -> List[Event]:
+        """Re-evaluate only the candidates fed by *events* (every
+        candidate when None); return changed events.
 
         Targets are evaluated (and committed) one at a time, in canonical
         order, because a feedback stage's own internal node can be an
         upstream trigger of a later target in the same visit — batching
-        stays within one target's candidate group.
+        stays within one target's candidates.
         """
         changed: List[Event] = []
         considered = 0
-        for node in sorted(stage.internal_nodes):
-            for transition in _TRANSITIONS:
-                if not self._event_allowed(node, transition):
-                    continue
-                paths = self._stage_paths(stage, node, transition)
-                best, best_rank, count = self._best_candidate(
-                    stage, self._full_group(paths), arrivals)
-                considered += count
-                if best is None:
-                    continue
-                event = Event(node, transition)
-                if self._commit(event, best, best_rank, arrivals, ranks):
-                    changed.append(event)
+        for table in self._table_for(stage):
+            if events is not None and events.isdisjoint(table.triggers):
+                continue
+            best, rank, count = self._best_candidate(stage.index, table,
+                                                     arrivals, events)
+            considered += count
+            if best is not None and self._commit(table.event, best, rank,
+                                                 arrivals, ranks):
+                changed.append(table.event)
         self.stage_costs.observe(stage.index, considered)
         return changed
 
     def stage_candidates(self, stage: Stage,
                          arrivals: Mapping[Event, Arrival]
-                         ) -> List[Tuple[Event, Arrival, Tuple[int, int]]]:
+                         ) -> List[Tuple[Event, Arrival, int]]:
         """Best candidate per (internal node, transition), no commit.
 
         Unlike :meth:`_evaluate_full` this evaluates against a *snapshot*
@@ -1097,52 +1114,17 @@ class TimingAnalyzer:
         commit identical fixpoints (a stage's triggers all live in
         strictly earlier levels, so the snapshot *is* the final state).
         """
-        out: List[Tuple[Event, Arrival, Tuple[int, int]]] = []
+        out: List[Tuple[Event, Arrival, int]] = []
         considered = 0
         with _trace_span("stage_eval", stage=stage.index, mode="front"):
-            for node in sorted(stage.internal_nodes):
-                for transition in _TRANSITIONS:
-                    if not self._event_allowed(node, transition):
-                        continue
-                    paths = self._stage_paths(stage, node, transition)
-                    best, best_rank, count = self._best_candidate(
-                        stage, self._full_group(paths), arrivals)
-                    considered += count
-                    if best is not None:
-                        out.append((Event(node, transition), best, best_rank))
+            for table in self._table_for(stage):
+                best, rank, count = self._best_candidate(stage.index, table,
+                                                         arrivals)
+                considered += count
+                if best is not None:
+                    out.append((table.event, best, rank))
         self.stage_costs.observe(stage.index, considered)
         return out
-
-    def _evaluate_incremental(self, stage: Stage, events: Set[Event],
-                              arrivals: Dict[Event, Arrival],
-                              ranks: Dict[Event, Tuple[int, int]]
-                              ) -> List[Event]:
-        """Re-evaluate only the candidates fed by *events*."""
-        index = self._trigger_index_for(stage)
-        by_target: Dict[Event, List[_IndexEntry]] = {}
-        for event in sorted(events, key=lambda e: (
-                e.node, _TRANSITION_ORDER[e.transition])):
-            for entry in index.get(event, ()):
-                target = Event(entry.node, entry.transition)
-                by_target.setdefault(target, []).append(entry)
-
-        changed: List[Event] = []
-        considered = 0
-        for target in sorted(by_target, key=lambda e: (
-                e.node, _TRANSITION_ORDER[e.transition])):
-            entries = sorted(by_target[target],
-                             key=lambda e: (e.order, e.trigger_pos))
-            group = [(entry.order, entry.trigger_pos, entry.path,
-                      entry.trigger) for entry in entries]
-            best, best_rank, count = self._best_candidate(stage, group,
-                                                          arrivals)
-            considered += count
-            if best is None:
-                continue
-            if self._commit(target, best, best_rank, arrivals, ranks):
-                changed.append(target)
-        self.stage_costs.observe(stage.index, considered)
-        return changed
 
 
 def analyze(network: Network, inputs: Mapping[str, Union[InputSpec, float]],

@@ -23,9 +23,10 @@ renaming, and their derived resistance/capacitance values are bit-equal
 (same technology lookups on same geometry).
 
 The analyzer keeps one *representative* stage per signature; every other
-stage maps its results through :func:`translate_paths` (and
-:meth:`~repro.rctree.TreeTemplate.translated` for compiled templates),
-which only constructs objects — no graph walks, no kernel runs.
+stage maps its paths through :func:`translate_paths`, which only
+constructs objects — no graph walks, no kernel runs — and shares the
+representative's delay-model answers outright: its compiled templates
+are bit-equal, so no per-stage copy of them is ever made.
 """
 
 from __future__ import annotations

@@ -156,7 +156,7 @@ def _propagate_fronts(analyzer: TimingAnalyzer, inputs: InputMap,
         fronts.setdefault(level, []).append(index)
 
     arrivals: Dict[Event, Arrival] = {}
-    ranks: Dict[Event, Tuple[int, int]] = {}
+    ranks: Dict[Event, int] = {}
     normalized = analyzer._normalize_inputs(inputs)
     for name, spec in normalized.items():
         for transition in _TRANSITIONS:

@@ -40,7 +40,6 @@ STANDARD_COUNTERS: Dict[str, str] = {
     "tree_builds": "RC trees constructed",
     "tree_template_misses": "tree templates compiled (first visit of a path)",
     "tree_template_hits": "compiled-template reuses by later candidates",
-    "tree_template_shared": "templates instantiated from an isomorphic stage",
     "kernel_batches": "vectorized-kernel evaluate_many() batches",
     "kernel_nodes": "tree nodes covered by vectorized-kernel batches",
     "delta_scenarios": "scenarios analyzed by dirty-cone delta re-analysis",

@@ -28,7 +28,7 @@ for the glue).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..trace.spans import span as _trace_span
@@ -201,35 +201,6 @@ class TreeTemplate:
         self._rctree = None
 
     # -- conversions ---------------------------------------------------------
-
-    @classmethod
-    def translated(cls, other: "TreeTemplate",
-                   name_map: Mapping[str, str],
-                   elements: Mapping[str, object]) -> "TreeTemplate":
-        """Instantiate a compiled template for a structurally identical
-        stage (see :mod:`repro.core.timing.stage_iso`): the numeric
-        arrays carry over bit-for-bit, node names are substituted, and
-        the stamping groups are remapped to the stage's own elements.
-        The kernel constants are computed once on the source template
-        and **shared** — a later :meth:`restamp` of either copy only
-        drops its own reference."""
-        t = cls.__new__(cls)
-        t.names = tuple(name_map.get(n, n) for n in other.names)
-        t.index = {m: i for i, m in enumerate(t.names)}
-        t.parent = other.parent  # read-only after compilation
-        t.r = list(other.r)      # own copies: restamp mutates in place
-        t.c = list(other.c)
-        t.cap_mask = other.cap_mask
-        t.edge_elements = (None if other.edge_elements is None else
-                           tuple(tuple(elements[e.name] for e in group)
-                                 for group in other.edge_elements))
-        t.transition = other.transition
-        t._depth = other._depth
-        t._levels = other._levels
-        t._constants = other.constants()
-        t._node_constants = {}
-        t._rctree = None
-        return t
 
     @classmethod
     def from_rctree(cls, tree: RCTree, transition=None) -> "TreeTemplate":

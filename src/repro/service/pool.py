@@ -2,7 +2,7 @@
 
 The whole point of serving timing queries from a daemon instead of a
 process-per-request CLI is that the analyzer-lifetime caches — path
-enumerations, RC trees, tree templates, the trigger index, the
+enumerations, RC trees, tree templates, the candidate tables, the
 delay-model memo — are input-independent and therefore *request*-
 independent: the first request against a netlist pays the setup cost,
 every later request rides the warm caches (DESIGN.md §5b, §10).

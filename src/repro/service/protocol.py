@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
@@ -135,7 +136,8 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
           f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")
     quantum = payload.get("slope_quantum", 0.0)
     _need(isinstance(quantum, (int, float)) and not isinstance(quantum, bool)
-          and quantum >= 0.0, "'slope_quantum' must be a number >= 0")
+          and math.isfinite(quantum) and quantum >= 0.0,
+          "'slope_quantum' must be a finite number >= 0")
     characterize = payload.get("characterize", True)
     _need(isinstance(characterize, bool), "'characterize' must be a boolean")
 

@@ -9,6 +9,8 @@ seconds, volts, metres); these helpers only live at the I/O boundary
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParseError
 
 #: SPICE-style scale suffixes, longest first so ``meg`` wins over ``m``.
@@ -47,7 +49,7 @@ def parse_value(text: str) -> float:
 
     Trailing unit letters after the scale suffix are ignored, as in SPICE
     (``10pF`` == ``10p``).  Raises :class:`~repro.errors.ParseError` on
-    malformed input.
+    malformed input, and on a value too large to represent (``1e400``).
     """
     token = text.strip().lower()
     if not token:
@@ -72,23 +74,27 @@ def parse_value(text: str) -> float:
     if not number or not seen_digit:
         raise ParseError(f"malformed numeric value {text!r}")
     try:
-        base = float(number)
+        value = float(number)
     except ValueError as exc:
         raise ParseError(f"malformed numeric value {text!r}") from exc
-    if not suffix:
-        return base
-    for name, scale in _SUFFIXES:
-        if suffix.startswith(name):
-            # Anything after the scale must be unit letters ("pF", "kohm"),
-            # never digits ("1k2" is not a number in this dialect).
-            trailing = suffix[len(name):]
-            if trailing and not trailing.isalpha():
+    if suffix:
+        for name, scale in _SUFFIXES:
+            if suffix.startswith(name):
+                # Anything after the scale must be unit letters ("pF",
+                # "kohm"), never digits ("1k2" is not a number here).
+                trailing = suffix[len(name):]
+                if trailing and not trailing.isalpha():
+                    raise ParseError(f"malformed numeric value {text!r}")
+                value *= scale
+                break
+        else:
+            # Unknown suffix letters are unit names ("v", "ohm", "hz"):
+            # scale of 1.
+            if not suffix.isalpha():
                 raise ParseError(f"malformed numeric value {text!r}")
-            return base * scale
-    # Unknown suffix letters are unit names ("v", "ohm", "hz"): scale of 1.
-    if suffix.isalpha():
-        return base
-    raise ParseError(f"malformed numeric value {text!r}")
+    if not math.isfinite(value):
+        raise ParseError(f"numeric value {text!r} is out of range")
+    return value
 
 
 def format_value(value: float, unit: str = "", digits: int = 4) -> str:

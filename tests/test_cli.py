@@ -533,6 +533,20 @@ class TestFailurePaths:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--input", "a=1e400", "--input", "b=0"],
+        ["--input", "a=0", "--input", "b=0", "--slope", "1e400"],
+        ["--input", "a=0", "--input", "b=0", "--slope-quantum", "inf"],
+    ], ids=["input-time", "slope", "slope-quantum"])
+    def test_non_finite_timing_exits_2(self, nand_file, extra, capsys):
+        code = main(["timing", nand_file, "--tech", "cmos3",
+                     "--no-characterize", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "inf" not in captured.out
+
 
 class TestReplayFailurePaths:
     """``verify --replay`` on missing/corrupt artifacts: clean exit 2,

@@ -5,8 +5,8 @@ ground truth; the vectorized kernel's two backends (level-swept numpy,
 O(N) plain Python) must reproduce it to float accuracy on every tree
 shape, and the analyzer's ``kernel="numpy"`` path must produce the same
 arrivals as ``kernel="python"`` end to end — including when the
-structural-sharing layer (:mod:`repro.core.timing.stage_iso`)
-instantiates templates for isomorphic stages by name substitution.
+structural-sharing layer (:mod:`repro.core.timing.stage_iso`) answers
+isomorphic stages from their representative's templates.
 """
 
 import math
@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.circuits import adder_input_names, ripple_carry_adder
 from repro.core.models import characterize_technology
-from repro.core.timing import TimingAnalyzer
+from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.errors import AnalysisError
+from repro.netlist import Network
 from repro.rctree import RCTree, TimeConstants, TreeTemplate, time_constants
 from repro.rctree.kernel import set_forced_backend
 from repro.tech import CMOS3
@@ -131,18 +132,6 @@ class TestTemplatePickling:
         assert clone.parent == template.parent
         assert_constants_close(clone.constants_for(tree.leaf()), want)
 
-    def test_translated_shares_bitwise_constants(self):
-        tree = RCTree.chain([1e3, 2e3], [1e-12, 2e-12])
-        template = TreeTemplate.from_rctree(tree)
-        twin = TreeTemplate.translated(
-            template, {n: n + "_b" for n in template.names}, {})
-        assert twin.names == tuple(n + "_b" for n in template.names)
-        # Exactly the same constants object: zero recomputation, and the
-        # shared values are bit-identical by construction.
-        assert twin.constants() is template.constants()
-        assert twin.parent is template.parent
-        assert twin.r is not template.r  # restamp safety
-
 
 class TestAnalyzerDifferential:
     @pytest.fixture(scope="class")
@@ -176,17 +165,35 @@ class TestAnalyzerDifferential:
         assert counters["kernel_batches"] > 0
         assert counters["kernel_nodes"] >= counters["kernel_batches"]
 
-    def test_structural_sharing_counts(self, rca8):
-        """Isomorphic full-adder stages enumerate/compile once and
-        instantiate everywhere else."""
-        network, inputs = rca8
-        analyzer = TimingAnalyzer(network, kernel="numpy")
-        result = analyzer.analyze(inputs)
-        counters = result.perf.counters
-        assert counters["path_translations"] > counters["path_enumerations"]
-        assert counters["tree_template_shared"] > 0
-        assert (counters["tree_template_misses"]
-                < counters["tree_template_shared"])
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_disjoint_copies_cost_one_copy(self, kernel):
+        """k disjoint copies of one cell under identical input timing ask
+        the delay model exactly what one copy asks, compile templates
+        for representative (first-copy) stages only, and give
+        bit-identical arrivals at corresponding nodes."""
+        cell = ripple_carry_adder(CMOS3, 2)
+        inputs = {name: InputSpec(0.1e-9 * i, 0.2e-9 * i, 0.3e-9)
+                  for i, name in enumerate(adder_input_names(2))}
+        copies = Network(CMOS3, name="copies")
+        maps = [copies.merge_from(cell, prefix=f"c{k}_") for k in range(3)]
+        one = TimingAnalyzer(cell, kernel=kernel).analyze(inputs)
+        analyzer = TimingAnalyzer(copies, kernel=kernel)
+        many = analyzer.analyze({mapping[name]: spec for mapping in maps
+                                 for name, spec in inputs.items()})
+
+        for counter in ("model_evals", "tree_template_misses",
+                        "tree_builds", "path_enumerations"):
+            assert many.perf.get(counter) == one.perf.get(counter), counter
+        assert many.perf.get("model_evals") > 0
+        stages = analyzer.graph.stages
+        for key in analyzer.export_templates():
+            assert all(node.startswith("c0_")
+                       for node in stages[key[0]].internal_nodes), key
+        assert len(many.arrivals) == 3 * len(one.arrivals)
+        for event, want in one.arrivals.items():
+            for mapping in maps:
+                got = many.arrival(mapping[event.node], event.transition)
+                assert (got.time, got.slope) == (want.time, want.slope)
 
     def test_invalidate_caches_drops_templates(self, rca8):
         network, inputs = rca8

@@ -10,6 +10,7 @@ parsing) is ``python -m repro.service.smoke`` / ``make service-smoke``.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from unittest import mock
@@ -131,6 +132,9 @@ class TestProtocol:
         ({"vectors": [{"inputs": {}}]}, "inputs"),
         ({"vectors": [{"inputs": {"a": "nonsense"}}]}, "inputs['a']"),
         ({"bogus_field": 1}, "unknown request field"),
+        ({"slope_quantum": float("inf")}, "slope_quantum"),
+        ({"slope_quantum": float("nan")}, "slope_quantum"),
+        ({"vectors": [{"inputs": {"a": "1e400"}}]}, "inputs['a']"),
     ])
     def test_validation_errors(self, mutation, needle):
         with pytest.raises(ServiceError) as info:
@@ -321,6 +325,26 @@ class TestServiceEndToEnd:
         response = connection.getresponse()
         assert response.status == 400
         connection.close()
+
+    @pytest.mark.parametrize("field, body", [
+        ("slope_quantum", '"slope_quantum": 1e400, '
+                          '"vectors": [{"inputs": {"a": "0", "b": "0"}}]'),
+        ("inputs['a']", '"vectors": [{"inputs": {"a": "1e400", "b": "0"}}]'),
+    ], ids=["slope-quantum", "input-token"])
+    def test_overflowing_number_is_400(self, service, field, body):
+        import http.client as http_client
+        host, port = service.service.address
+        connection = http_client.HTTPConnection(host, port, timeout=10)
+        payload = '{"netlist": %s, "characterize": false, %s}' % (
+            json.dumps(NAND_SIM), body)
+        connection.request("POST", "/analyze", body=payload.encode(),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        reply = response.read().decode()
+        connection.close()
+        assert response.status == 400
+        assert field in reply
+        assert "Infinity" not in reply
 
 
 class TestBackpressureAndTimeouts:

@@ -96,6 +96,19 @@ class TestInputSpecs:
         result = analyze(inverter_chain(CMOS3, 1), {"in": 2e-9})
         assert result.arrival("out", Transition.RISE).time > 2e-9
 
+    @pytest.mark.parametrize("spec", [
+        float("nan"), float("inf"), -float("inf"),
+        InputSpec(arrival_rise=0.0, arrival_fall=float("nan")),
+        InputSpec(arrival_rise=float("inf"), arrival_fall=None),
+        InputSpec(slope=float("nan")),
+        InputSpec(slope=float("inf")),
+    ], ids=["nan", "inf", "-inf", "fall-nan", "rise-inf", "slope-nan",
+            "slope-inf"])
+    def test_non_finite_timing_rejected(self, spec):
+        net = nand_gate(CMOS3, 2)
+        with pytest.raises(TimingError, match="input 'a1'.*not finite"):
+            TimingAnalyzer(net).analyze({"a0": 0.0, "a1": spec})
+
 
 class TestResultAccess:
     @pytest.fixture

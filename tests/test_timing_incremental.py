@@ -166,6 +166,12 @@ class TestSlopeQuantization:
         with pytest.raises(TimingError):
             TimingAnalyzer(ripple_carry_adder(CMOS3, 2), slope_quantum=-0.1)
 
+    @pytest.mark.parametrize("quantum", [float("inf"), float("nan")])
+    def test_non_finite_quantum_rejected(self, quantum):
+        with pytest.raises(TimingError, match="finite"):
+            TimingAnalyzer(ripple_carry_adder(CMOS3, 2),
+                           slope_quantum=quantum)
+
 
 class TestPriorityWorklist:
     def test_feedforward_visits_each_stage_once(self):

@@ -78,6 +78,11 @@ class TestParseValue:
         with pytest.raises(ParseError):
             parse_value("1k2")
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e308k"])
+    def test_overflow_raises(self, text):
+        with pytest.raises(ParseError, match="out of range"):
+            parse_value(text)
+
 
 class TestFormatValue:
     def test_zero(self):
