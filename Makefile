@@ -8,10 +8,6 @@
 #                   >25% regression over its committed counter baseline
 #                   (BENCH_timing.json / BENCH_batch.json) or a 2x
 #                   wall-clock blowout over the historical best
-#   make perf-parallel  the parallel-execution bench: records speedup at
-#                   jobs 1/2/4 into BENCH_parallel.json, asserts
-#                   bit-identity across job counts, and enforces the
-#                   >=2x speedup gate on hosts with >=4 CPUs
 #   make perf-kernel    the vectorized-kernel bench: numpy vs python
 #                   kernels on rca32 into BENCH_kernel.json, rca8
 #                   arrival differential at 1e-9, and the >=3x speedup
@@ -31,13 +27,11 @@
 #   make verify-smoke   the conformance smoke gate: 20 fuzzed netlists x
 #                   the full engine-mode matrix at fixed seed 0 (plus
 #                   metamorphic invariants), must exit clean in <60s
-#   make trace-smoke    the observability smoke gate: a jobs=2 traced
-#                   sweep must emit a valid Chrome trace with nested
-#                   spans from >=2 worker processes
 #   make service-smoke  the serving smoke gate: a real daemon process,
 #                   4 concurrent clients, bit-identical arrivals, live
-#                   /metrics, a valid --trace, and a clean SIGTERM
-#                   drain, all under a hard watchdog
+#                   /metrics, a valid --trace (kept at
+#                   benchmarks/output/service_smoke_trace.json), and a
+#                   clean SIGTERM drain, all under a hard watchdog
 #   make bench-selftest the benchmark suite's self-tests (imports, answer
 #                   digests, metric contract; runs no workloads, ~3 s)
 #   make verify-deep    the deep conformance sweep: 200 cases per seed
@@ -53,13 +47,14 @@ PYTHONPATH := src
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
 BENCH_FILES := benchmarks/BENCH_timing.json benchmarks/BENCH_batch.json \
-               benchmarks/BENCH_parallel.json benchmarks/BENCH_kernel.json \
-               benchmarks/BENCH_delta.json benchmarks/BENCH_trace.json \
-               benchmarks/BENCH_service.json
+               benchmarks/BENCH_kernel.json benchmarks/BENCH_delta.json \
+               benchmarks/BENCH_trace.json benchmarks/BENCH_service.json
 
-.PHONY: test test-slow perf perf-parallel perf-kernel perf-delta \
-        perf-trace perf-service verify-smoke verify-deep trace-smoke \
-        service-smoke bench-selftest check check-fast bench bench-all goldens
+SERVICE_TRACE := benchmarks/output/service_smoke_trace.json
+
+.PHONY: test test-slow perf perf-kernel perf-delta perf-trace perf-service \
+        verify-smoke verify-deep service-smoke bench-selftest check \
+        check-fast bench bench-all goldens
 
 test:
 	$(PYTEST) -x -q
@@ -71,9 +66,6 @@ perf:
 	$(PYTEST) benchmarks/bench_perf_regression.py \
 	          benchmarks/bench_batch_sweep.py \
 	          benchmarks/bench_delta_sweep.py -q -s
-
-perf-parallel:
-	$(PYTEST) benchmarks/bench_parallel.py -q -s
 
 perf-kernel:
 	$(PYTEST) benchmarks/bench_kernel.py -q -s
@@ -97,20 +89,19 @@ verify-deep:
 	              --cases 200 --seed $$seed || exit 1; \
 	done
 
-trace-smoke:
-	PYTHONPATH=$(PYTHONPATH) python -m repro.trace.smoke
-
 service-smoke:
-	PYTHONPATH=$(PYTHONPATH) python -m repro.service.smoke --watchdog 300
+	mkdir -p $(dir $(SERVICE_TRACE))
+	PYTHONPATH=$(PYTHONPATH) python -m repro.service.smoke --watchdog 300 \
+	          --keep-trace $(SERVICE_TRACE)
 
 bench-selftest:
 	$(PYTEST) benchmarks/suite -q
 
-check: test test-slow bench-selftest perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
+check: test test-slow bench-selftest perf perf-kernel verify-smoke service-smoke
 
 # CI's gate: everything in `check` except the slow tier (analog golden
 # references are too heavy for shared runners).
-check-fast: test bench-selftest perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
+check-fast: test bench-selftest perf perf-kernel verify-smoke service-smoke
 
 # Refresh every perf baseline and commit the result.  REPRO_BENCH_NO_FAIL
 # disables the wall-clock guards (new hardware re-records cleanly); the
@@ -119,7 +110,6 @@ bench-all:
 	REPRO_BENCH_NO_FAIL=1 $(PYTEST) \
 	          benchmarks/bench_perf_regression.py \
 	          benchmarks/bench_batch_sweep.py \
-	          benchmarks/bench_parallel.py \
 	          benchmarks/bench_kernel.py \
 	          benchmarks/bench_delta_sweep.py \
 	          benchmarks/bench_trace_overhead.py \

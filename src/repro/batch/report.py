@@ -82,8 +82,5 @@ def _order_line(sweep: SweepResult) -> str:
 
 def format_sweep_profile(sweep: SweepResult) -> str:
     """Per-scenario and batch-aggregate perf counters."""
-    table = sweep.batch_perf.format_table(
+    return sweep.batch_perf.format_table(
         f"batch perf ({len(sweep)} scenario(s), shared analyzer)")
-    if sweep.parallel is not None:
-        table += "\n" + "\n".join(sweep.parallel.format_lines())
-    return table

@@ -23,7 +23,7 @@ from ..core.timing.analyzer import Arrival, Event
 from ..core.timing.paths import StateMap
 from ..errors import ReproError, SweepError
 from ..netlist import Network
-from ..perf import BatchPerf, ParallelPerf, PerfCounters
+from ..perf import BatchPerf
 from ..trace.spans import span as _trace_span
 from .vectors import (ExplicitVectors, Vector, VectorSource, order_vectors,
                       pair_deltas)
@@ -82,8 +82,6 @@ class SweepResult:
     batch_perf: BatchPerf = field(default_factory=BatchPerf)
     #: nodes the worst-arrival ranking was restricted to (None = all)
     watch: Optional[List[str]] = None
-    #: stats of the scenario-sharded executor, when the sweep used one
-    parallel: Optional[ParallelPerf] = None
     #: analysis-order / delta-mode stats (None on pre-delta call paths)
     order_stats: Optional[OrderStats] = None
 
@@ -127,13 +125,14 @@ class ArrivalStats:
 
 def _validate_vectors(analyzer: TimingAnalyzer,
                       vectors: List[Vector]) -> None:
-    """Reject bad vectors before any analysis (or worker dispatch) runs.
+    """Reject bad vectors before any analysis runs.
 
-    Every input name must resolve to a real, non-supply node and every
-    primary input must be covered — checked up front so a typo in one
+    Every input name must resolve to a real, non-supply node, every
+    primary input must be covered, and every timing value must be finite
+    with a non-negative slope — checked up front so a typo in one
     ``.vec`` line fails fast with the offending vector named, instead of
-    surfacing as a deep engine error (possibly from inside a worker
-    process) after other vectors were already analyzed.
+    surfacing as a deep engine error after other vectors were already
+    analyzed.
     """
     labels: dict = {}
     for position, vector in enumerate(vectors):
@@ -159,8 +158,6 @@ def run_sweep(network: Network,
               slope_quantum: float = 0.0,
               watch: Optional[List[str]] = None,
               analyzer: Optional[TimingAnalyzer] = None,
-              jobs: int = 1,
-              parallel_config=None,
               kernel: str = "numpy",
               delta: bool = False,
               order: str = "given") -> SweepResult:
@@ -180,14 +177,6 @@ def run_sweep(network: Network,
     elsewhere) or ``"greedy"`` nearest-neighbour Hamming ordering —
     while outcomes, labels, and reports stay in the source's original
     order.
-
-    ``jobs > 1`` shards the vectors across that many worker processes,
-    each owning a warm analyzer clone (scenario sharding, DESIGN.md
-    §5c); results and reports are byte-identical to ``jobs=1``, and the
-    executor's stats land on :attr:`SweepResult.parallel`.  With
-    ``delta=True`` the shard boundaries prefer high-delta cut points so
-    low-Hamming runs stay on one worker, and each chunk cold-starts its
-    first vector.
     """
     if analyzer is None:
         analyzer = TimingAnalyzer(network, model=model, states=states,
@@ -206,17 +195,13 @@ def run_sweep(network: Network,
     sweep.order_stats = OrderStats(order=order, delta=delta,
                                    deltas=tuple(pair_deltas(ordered)))
 
-    with _trace_span("sweep", vectors=len(vectors), jobs=jobs,
-                     delta=delta, order=order):
-        if jobs > 1 and len(vectors) > 1:
-            results = _analyze_sharded(analyzer, ordered, permutation, jobs,
-                                       parallel_config, sweep, delta)
-        else:
-            raw = [vector.inputs for vector in ordered]
-            in_order = analyzer.analyze_many(raw, delta=delta)
-            results = [None] * len(vectors)
-            for position, result in zip(permutation, in_order):
-                results[position] = result
+    with _trace_span("sweep", vectors=len(vectors), delta=delta,
+                     order=order):
+        in_order = analyzer.analyze_many(
+            [vector.inputs for vector in ordered], delta=delta)
+        results = [None] * len(vectors)
+        for position, result in zip(permutation, in_order):
+            results[position] = result
     for vector, result in zip(vectors, results):
         worst_event, worst_arrival = result.worst(nodes=watch)
         sweep.outcomes.append(ScenarioOutcome(
@@ -225,44 +210,6 @@ def run_sweep(network: Network,
         if result.perf is not None:
             sweep.batch_perf.add(vector.label, result.perf)
     return sweep
-
-
-def _analyze_sharded(analyzer: TimingAnalyzer, ordered: List[Vector],
-                     permutation: List[int], jobs: int, parallel_config,
-                     sweep: SweepResult, delta: bool) -> List[TimingResult]:
-    """Scenario-sharded analysis: contiguous vector blocks per worker.
-
-    *ordered* is the analysis sequence; each item ships tagged with its
-    original source position, so the position-sorted outcomes slot
-    straight back into source order regardless of ordering or sharding.
-    """
-    from ..parallel import AnalyzerSpec, ParallelConfig, run_vectors_sharded
-
-    config = parallel_config or ParallelConfig()
-    config.jobs = jobs
-    spec = AnalyzerSpec.from_analyzer(analyzer)
-    items = [(position, vector.label, vector.inputs)
-             for position, vector in zip(permutation, ordered)]
-    boundary_deltas = (list(sweep.order_stats.deltas)
-                       if sweep.order_stats is not None else None)
-    with analyzer.perf.timer("analyze_batch"):
-        outcomes, pperf = run_vectors_sharded(
-            spec, items, config, delta=delta,
-            boundary_deltas=boundary_deltas if delta else None)
-    sweep.parallel = pperf
-
-    results: List[TimingResult] = []
-    for position, arrivals, counters, timers in outcomes:
-        perf = PerfCounters(counters=dict(counters), timers=dict(timers))
-        analyzer.perf.merge(perf)
-        results.append(TimingResult(network=analyzer.network,
-                                    model_name=analyzer.model.name,
-                                    arrivals=arrivals, perf=perf))
-    analyzer.perf.incr("batch_scenarios", len(results))
-    if analyzer.perf.parallel is None:
-        analyzer.perf.parallel = ParallelPerf()
-    analyzer.perf.parallel.merge(pperf)
-    return results
 
 
 def run_scenarios(network: Network, scenarios: Iterable, **kwargs

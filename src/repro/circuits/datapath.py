@@ -79,12 +79,11 @@ def wide_datapath(tech: Technology, slices: int, bits: int = 8,
                   name: Optional[str] = None) -> Network:
     """*slices* independent ripple-carry adder bit-slices, side by side.
 
-    The parallel-execution showcase circuit: a real datapath is many
-    identical slices with no carries between them (each has its own), so
-    every topological level of the stage graph holds ``slices`` × the
-    stages of one adder — wide fronts the level-front sharder can spread
-    across worker processes.  A lone rca32's carry chain, by contrast,
-    serializes past the first couple of levels.
+    A real datapath is many identical slices with no carries between
+    them (each has its own), so every topological level of the stage
+    graph holds ``slices`` × the stages of one adder — the wide, shallow
+    shape of ``examples/datapath.sim``.  A lone rca32's carry chain, by
+    contrast, serializes past the first couple of levels.
 
     Ports: ``s{k}.a{i}``, ``s{k}.b{i}``, ``s{k}.cin`` per slice ``k``.
     """

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import pathlib
 import sys
 from typing import Dict, List, Optional
@@ -149,9 +148,18 @@ def cmd_switch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ReproError(f"--jobs must be at least 1, got {jobs}")
+def _slope_arg(args: argparse.Namespace) -> float:
+    """The ``--slope`` value in seconds (0 when absent); negative slopes
+    are rejected rather than silently ignored."""
+    slope = parse_value(args.slope) if args.slope else 0.0
+    if slope < 0.0:
+        raise ReproError(f"--slope must not be negative, got {args.slope}")
+    return slope
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ReproError(f"--count must not be negative, got {count}")
 
 
 @contextlib.contextmanager
@@ -172,8 +180,7 @@ def _traced_run(args: argparse.Namespace):
     finally:
         trace_spans.uninstall()
         if args.trace:
-            count = write_chrome_trace(tracer, args.trace,
-                                       parent_pid=os.getpid())
+            count = write_chrome_trace(tracer, args.trace)
             print(f"trace: {count} event(s) written to {args.trace}")
         if args.trace_summary:
             print(format_trace_summary(tracer.records))
@@ -181,10 +188,11 @@ def _traced_run(args: argparse.Namespace):
 
 
 def cmd_timing(args: argparse.Namespace) -> int:
+    slope = _slope_arg(args)
+    _check_count(args.count)
     tech = _tech(args.tech, characterized=not args.no_characterize)
     network = _load(args.netlist, tech)
     model = MODELS[args.model]()
-    slope = parse_value(args.slope) if args.slope else 0.0
     inputs = {}
     for token in args.input or []:
         name, spec = _parse_timing_input(token)
@@ -192,18 +200,12 @@ def cmd_timing(args: argparse.Namespace) -> int:
     analyzer = TimingAnalyzer(network, model=model,
                               slope_quantum=args.slope_quantum,
                               kernel=args.kernel)
-    _check_jobs(args.jobs)
     result = None
     try:
         with _traced_run(args):
-            if args.jobs > 1:
-                from .parallel import parallel_analyze
-                result = parallel_analyze(network, inputs, jobs=args.jobs,
-                                          analyzer=analyzer)
-            else:
-                result = analyzer.analyze(inputs)
+            result = analyzer.analyze(inputs)
     finally:
-        # An aborted analysis (timing loop, worker error) still merged
+        # An aborted analysis (timing loop, bad input) still merged
         # its run counters into the analyzer's cumulative set — flush
         # them so --profile shows how far the run got.
         if args.profile and result is None:
@@ -233,7 +235,7 @@ def _sweep_source(args: argparse.Namespace, network: Network, slope: float):
     chosen = [flag for flag, given in (
         ("--vectors", args.vectors),
         ("--sweep", args.sweep),
-        ("--random", args.random),
+        ("--random", args.random is not None),
     ) if given]
     if len(chosen) != 1:
         raise ReproError(
@@ -273,11 +275,11 @@ def _sweep_source(args: argparse.Namespace, network: Network, slope: float):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    slope = _slope_arg(args)
+    _check_count(args.count)
     tech = _tech(args.tech, characterized=not args.no_characterize)
     network = _load(args.netlist, tech)
     model = MODELS[args.model]()
-    slope = parse_value(args.slope) if args.slope else 0.0
-    _check_jobs(args.jobs)
     source = _sweep_source(args, network, slope)
     analyzer = TimingAnalyzer(network, model=model,
                               slope_quantum=args.slope_quantum,
@@ -286,8 +288,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         with _traced_run(args):
             sweep = run_sweep(network, source, watch=args.watch,
-                              analyzer=analyzer, jobs=args.jobs,
-                              delta=args.delta, order=args.order)
+                              analyzer=analyzer, delta=args.delta,
+                              order=args.order)
     finally:
         # Scenarios analyzed before an abort already merged their run
         # counters into the analyzer's cumulative set — flush them.
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", metavar="FILE",
                        help="write a Chrome trace_event JSON of the run "
                             "(open in chrome://tracing or "
-                            "ui.perfetto.dev); worker spans included")
+                            "ui.perfetto.dev)")
         p.add_argument("--trace-summary", action="store_true",
                        help="print the flat per-span time table "
                             "(count, total, self) after the run")
@@ -469,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="relative slope quantization for the delay-model "
                         "memo cache (e.g. 0.05; default 0 = exact)")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes for level-front stage sharding "
-                        "(default 1 = serial; results are identical)")
     p.add_argument("--kernel", default="numpy",
                    choices=("numpy", "python"),
                    help="RC-tree delay kernel: vectorized tree templates "
@@ -516,9 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="relative slope quantization for the delay-model "
                         "memo cache (e.g. 0.05; default 0 = exact)")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes for scenario sharding (default "
-                        "1 = serial; reports are byte-identical)")
     p.add_argument("--kernel", default="numpy",
                    choices=("numpy", "python"),
                    help="RC-tree delay kernel: vectorized tree templates "

@@ -126,8 +126,8 @@ class _pass_fixture:
     """Pass-gate fixture builder for *kind*.
 
     A class (not a closure) so characterization results — and with them
-    characterized :class:`Technology` objects — stay picklable; the
-    parallel subsystem ships them to worker processes.
+    characterized :class:`Technology` objects and any network built on
+    one — stay picklable.
     """
 
     def __init__(self, kind: DeviceKind):

@@ -56,7 +56,7 @@ from typing import (
 from ...errors import TimingError
 from ...netlist import Network
 from ...netlist.stages import Stage
-from ...perf import PerfCounters, StageCostModel
+from ...perf import PerfCounters
 from ...rctree import RCTree, TreeTemplate, kernel_available
 from ...switchlevel import Logic
 from ...tech import DeviceKind, Transition
@@ -117,7 +117,7 @@ class Event:
 
     def __getstate__(self):
         # String hashes are salted per process: drop the cached hash so
-        # an Event unpickled in a worker recomputes it locally.
+        # an Event unpickled in another process recomputes it locally.
         return (self.node, self.transition)
 
     def __setstate__(self, state) -> None:
@@ -379,9 +379,6 @@ class TimingAnalyzer:
                                         DeviceKind]] = []
         # Delay-model memo: (memo key, quantized slope) -> StageDelay.
         self._delay_cache: Dict[Tuple[int, float], StageDelay] = {}
-        #: observed delay candidates per stage — the cost model the
-        #: parallel chunker balances level fronts with (repro.parallel)
-        self.stage_costs = StageCostModel()
         # Delta carryover: the last completed run's (normalized inputs,
         # arrivals, ranks).  analyze_delta() re-uses every arrival whose
         # stage lies outside the changed inputs' dirty cone.  The stored
@@ -410,16 +407,9 @@ class TimingAnalyzer:
         self._rep_keys.clear()
         self._memo_requests.clear()
         self._delay_cache.clear()
-        self.stage_costs.clear()
         self._carryover = None
         with self.perf.timer("stage_graph_build"):
             self.graph = StageGraph.build(self.network)
-
-    def clear_carryover(self) -> None:
-        """Forget the last run's arrivals: the next :meth:`analyze_delta`
-        cold-starts.  Cheaper than :meth:`invalidate_caches` — the path/
-        template/memo caches survive (they are input-independent)."""
-        self._carryover = None
 
     def reset_run_state(self) -> None:
         """Clear per-run state without touching analyzer-lifetime caches.
@@ -492,8 +482,8 @@ class TimingAnalyzer:
         delta differential tests lock that equivalence).
 
         Falls back to a full :meth:`analyze` when there is no carryover
-        (first run, after :meth:`clear_carryover` /
-        :meth:`invalidate_caches`, or after a run that raised — a failed
+        (first run, after :meth:`invalidate_caches`, or after a run that
+        raised — a failed
         propagation invalidates carryover so the next delta run is
         bit-identical to a cold analysis).  Counters: ``delta_scenarios``,
         ``input_delta``, ``cone_stages``, ``stages_skipped``,
@@ -756,6 +746,9 @@ class TimingAnalyzer:
                     raise TimingError(
                         f"input {name!r}: timing value {value!r} is not "
                         "finite")
+            if spec.slope < 0.0:
+                raise TimingError(
+                    f"input {name!r}: negative slope {spec.slope!r}")
             normalized[node.name] = spec
         missing = [n.name for n in self.network.inputs()
                    if n.name not in normalized]
@@ -783,8 +776,7 @@ class TimingAnalyzer:
         *is* the representative of its signature).
 
         Every stage is classified on first use, lowest index first, so
-        the representatives — and with them the template-cache keys
-        :meth:`export_templates` ships — do not depend on visit order."""
+        the representatives do not depend on visit order."""
         if not self._stage_iso:
             reps: Dict[Tuple, Tuple[Stage, Tuple[str, ...]]] = {}
             for other in self.graph.stages:
@@ -855,24 +847,6 @@ class TimingAnalyzer:
                 caches=self._caches_for(stage), cap_cache=self._node_caps)
         self._templates[key] = template
         return template
-
-    def export_templates(self) -> Dict[Tuple[int, str, Transition, int],
-                                       TreeTemplate]:
-        """Snapshot of the compiled-template cache.  Template keys are
-        deterministic functions of the network and ``states`` (stage
-        indices from :meth:`StageGraph.build`, representatives from
-        :meth:`_rep_for`, path order from :func:`enumerate_paths`), so
-        the snapshot is valid in any other analyzer built from equal
-        inputs — the parallel workers are seeded this way instead of
-        recompiling per process."""
-        return dict(self._templates)
-
-    def seed_templates(self, templates: Mapping[Tuple[int, str, Transition,
-                                                      int], TreeTemplate]
-                       ) -> None:
-        """Adopt pre-compiled templates (see :meth:`export_templates`).
-        Seeded entries count as template hits on first use, not misses."""
-        self._templates.update(templates)
 
     def _table_for(self, stage: Stage) -> Tuple[_Candidates, ...]:
         """The stage's candidate tables, one per admissible (internal
@@ -946,11 +920,10 @@ class TimingAnalyzer:
     def _best_candidate(self, stage_index: int, table: _Candidates,
                         arrivals: Mapping[Event, Arrival],
                         only: Optional[Set[Event]] = None
-                        ) -> Tuple[Optional[Arrival], int, int]:
+                        ) -> Tuple[Optional[Arrival], int]:
         """Pick the winner among a target's candidates (only those fed by
-        *only*, when given) under the deterministic tie-break; also
-        returns how many candidates had an upstream arrival (the
-        stage-cost observation).
+        *only*, when given) under the deterministic tie-break; returns
+        it with its rank.
 
         The memo misses are handed to the model in one
         :meth:`DelayModel.evaluate_many` batch.  Only the winning
@@ -968,8 +941,6 @@ class TimingAnalyzer:
             if upstream is None:
                 continue
             slope = upstream.slope
-            if slope < 0.0:
-                slope = 0.0
             if quantum > 0.0:
                 slope = self._quantize_slope(slope)
             key = (keys[rank], slope)
@@ -977,7 +948,7 @@ class TimingAnalyzer:
                 misses[key] = None
             plan.append((rank, upstream, key))
         if not plan:
-            return None, _PRIMARY_RANK, 0
+            return None, _PRIMARY_RANK
         self._count("candidates", len(plan))
         if len(plan) > len(misses):
             self._count("model_cache_hits", len(plan) - len(misses))
@@ -1013,7 +984,7 @@ class TimingAnalyzer:
             stage_delay=result,
             path=path,
             trigger=trigger,
-        ), best_rank, len(plan)
+        ), best_rank
 
     # -- event admission ------------------------------------------------
 
@@ -1087,44 +1058,15 @@ class TimingAnalyzer:
         stays within one target's candidates.
         """
         changed: List[Event] = []
-        considered = 0
         for table in self._table_for(stage):
             if events is not None and events.isdisjoint(table.triggers):
                 continue
-            best, rank, count = self._best_candidate(stage.index, table,
-                                                     arrivals, events)
-            considered += count
+            best, rank = self._best_candidate(stage.index, table, arrivals,
+                                              events)
             if best is not None and self._commit(table.event, best, rank,
                                                  arrivals, ranks):
                 changed.append(table.event)
-        self.stage_costs.observe(stage.index, considered)
         return changed
-
-    def stage_candidates(self, stage: Stage,
-                         arrivals: Mapping[Event, Arrival]
-                         ) -> List[Tuple[Event, Arrival, int]]:
-        """Best candidate per (internal node, transition), no commit.
-
-        Unlike :meth:`_evaluate_full` this evaluates against a *snapshot*
-        of upstream arrivals and never mutates analyzer or arrival state —
-        the form the parallel level-front executor needs: workers compute
-        candidates against the front's settled inputs and the parent
-        merges them with the same deterministic tie-break the serial
-        engine uses.  On an acyclic stage graph the two evaluation styles
-        commit identical fixpoints (a stage's triggers all live in
-        strictly earlier levels, so the snapshot *is* the final state).
-        """
-        out: List[Tuple[Event, Arrival, int]] = []
-        considered = 0
-        with _trace_span("stage_eval", stage=stage.index, mode="front"):
-            for table in self._table_for(stage):
-                best, rank, count = self._best_candidate(stage.index, table,
-                                                         arrivals)
-                considered += count
-                if best is not None:
-                    out.append((table.event, best, rank))
-        self.stage_costs.observe(stage.index, considered)
-        return out
 
 
 def analyze(network: Network, inputs: Mapping[str, Union[InputSpec, float]],

@@ -1,16 +1,10 @@
-"""Observability for the hot paths: counters, timers, parallel stats."""
+"""Observability for the hot paths: counters and timers."""
 
 from .counters import STANDARD_COUNTERS, BatchPerf, PerfCounters, merge_all
-from .parallel_stats import ChunkStat, DispatchStat, ParallelPerf
-from .stage_costs import StageCostModel
 
 __all__ = [
     "STANDARD_COUNTERS",
     "BatchPerf",
-    "ChunkStat",
-    "DispatchStat",
-    "ParallelPerf",
     "PerfCounters",
-    "StageCostModel",
     "merge_all",
 ]

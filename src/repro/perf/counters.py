@@ -21,8 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .parallel_stats import ParallelPerf
-
 #: Counters the timing engine emits, in display order, with a short gloss.
 STANDARD_COUNTERS: Dict[str, str] = {
     "stage_visits": "worklist pops that evaluated a stage",
@@ -64,8 +62,6 @@ class PerfCounters:
 
     counters: Dict[str, int] = field(default_factory=dict)
     timers: Dict[str, float] = field(default_factory=dict)
-    #: stats of the parallel executor, when the run used one
-    parallel: Optional[ParallelPerf] = None
 
     # -- counters -----------------------------------------------------------
 
@@ -101,31 +97,21 @@ class PerfCounters:
             self.incr(name, value)
         for name, value in other.timers.items():
             self.add_time(name, value)
-        if other.parallel is not None:
-            if self.parallel is None:
-                self.parallel = ParallelPerf()
-            self.parallel.merge(other.parallel)
 
     def snapshot(self) -> "PerfCounters":
         return PerfCounters(counters=dict(self.counters),
-                            timers=dict(self.timers),
-                            parallel=self.parallel)
+                            timers=dict(self.timers))
 
     def reset(self) -> None:
         self.counters.clear()
         self.timers.clear()
-        self.parallel = None
 
     # -- export -------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready ``{"counters": {...}, "timers": {...}}``."""
-        payload: Dict[str, object] = {
-            "counters": dict(self.counters),
-            "timers": {k: float(v) for k, v in self.timers.items()}}
-        if self.parallel is not None:
-            payload["parallel"] = self.parallel.as_dict()
-        return payload
+        return {"counters": dict(self.counters),
+                "timers": {k: float(v) for k, v in self.timers.items()}}
 
     @property
     def cache_hit_rate(self) -> Optional[float]:
@@ -165,8 +151,6 @@ class PerfCounters:
         for name in sorted(self.timers):
             lines.append(f"{name:<{width}}  "
                          f"{self.timers[name]:>{vwidth - 1}.6f}s")
-        if self.parallel is not None:
-            lines.extend(self.parallel.format_lines())
         return "\n".join(lines)
 
 

@@ -15,11 +15,6 @@ On top of the arrays, the template memoizes the vectorized PRH kernel's
 *every* node in one pass — so a delay model asking about any measurement
 node of the stage is a constant-time lookup.
 
-Templates are deliberately **picklable** (plain tuples, dicts and numpy
-arrays; cached constants ride along): the parallel workers receive the
-parent's compiled templates through :class:`~repro.parallel.worker.AnalyzerSpec`
-and start warm instead of re-deriving every tree.
-
 This module stays independent of the netlist layer: stamping sources are
 opaque element groups plus caller-supplied ``resistance_of`` /
 ``cap_of`` callables (see :func:`repro.core.timing.paths.compile_template`
@@ -233,49 +228,6 @@ class TreeTemplate:
                 tree.add_cap(self.root, root_cap)
             self._rctree = tree
         return self._rctree
-
-    # -- pickling (slots need explicit state) --------------------------------
-
-    def __getstate__(self):
-        # Cached constants ship with the template (that is the point of
-        # sending compiled templates to workers); the dict-tree, depth
-        # and level groupings are cheap to rebuild, so they stay home.
-        return {
-            "names": self.names,
-            "parent": self.parent,
-            "r": self.r,
-            "c": self.c,
-            "cap_mask": self.cap_mask,
-            "edge_elements": self.edge_elements,
-            "transition": self.transition,
-            "constants": self._constants and (
-                self._constants.t_p,
-                list(self._constants.t_d),
-                list(self._constants.t_r),
-                list(self._constants.rpath),
-                self._constants.c_total,
-            ),
-        }
-
-    def __setstate__(self, state) -> None:
-        self.names = state["names"]
-        self.index = {m: i for i, m in enumerate(self.names)}
-        self.parent = state["parent"]
-        self.r = state["r"]
-        self.c = state["c"]
-        self.cap_mask = state["cap_mask"]
-        self.edge_elements = state["edge_elements"]
-        self.transition = state["transition"]
-        self._depth = None
-        self._levels = None
-        self._node_constants = {}
-        self._rctree = None
-        packed = state["constants"]
-        self._constants = None
-        if packed is not None:
-            t_p, t_d, t_r, rpath, c_total = packed
-            self._constants = StageConstants(t_p=t_p, t_d=t_d, t_r=t_r,
-                                             rpath=rpath, c_total=c_total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<TreeTemplate root={self.root!r} nodes={len(self.names)} "

@@ -157,10 +157,7 @@ class TimingService:
             from ..trace.export import write_chrome_trace
 
             trace_spans.uninstall()
-            import os
-
-            count = write_chrome_trace(self._tracer, self.config.trace,
-                                       parent_pid=os.getpid())
+            count = write_chrome_trace(self._tracer, self.config.trace)
             if not self.config.quiet:
                 print(f"trace: {count} event(s) written to "
                       f"{self.config.trace}", flush=True)

@@ -6,10 +6,10 @@ The three layers:
 * :mod:`repro.trace.spans` — the :class:`Tracer` and the module-level
   :func:`span`/:func:`instant` call sites threaded through every engine
   (analyzer worklist, path enumeration, template compiles, kernel
-  batches, sweep scenarios, parallel chunks, worker processes);
+  batches, sweep scenarios, service requests);
 * :mod:`repro.trace.export` — Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto, the flat ``--trace-summary``
-  aggregate, and the schema validator behind ``make trace-smoke``;
+  aggregate, and the schema validator behind ``make service-smoke``;
 * :mod:`repro.trace.trends` — the ``trend`` CLI subcommand's data
   layer: flattens every ``benchmarks/BENCH_*.json`` into one metric
   namespace and appends snapshots to ``BENCH_history.jsonl``.

@@ -3,7 +3,7 @@
 :func:`write_chrome_trace` emits the JSON-object flavour of the Chrome
 ``trace_event`` format — load the file in ``chrome://tracing`` or
 https://ui.perfetto.dev to see the nested stage/kernel spans on a
-per-process timeline (one track per pid, workers included).
+timeline.
 
 :func:`aggregate_spans` / :func:`format_trace_summary` produce the flat
 ``--trace-summary`` table: per span name, the call count, total wall
@@ -13,7 +13,7 @@ heuristics).
 
 :func:`validate_trace` checks a trace object (or file) against the
 subset of the trace_event schema this package emits; ``make
-trace-smoke`` gates on it, and ``python -m repro.trace.export FILE``
+service-smoke`` gates on it, and ``python -m repro.trace.export FILE``
 runs it from the command line.
 """
 
@@ -49,13 +49,11 @@ def _records(source: _RecordsOrTracer) -> List[SpanRecord]:
 # Chrome trace_event export
 # ---------------------------------------------------------------------------
 
-def chrome_trace_events(source: _RecordsOrTracer,
-                        parent_pid: Optional[int] = None) -> List[Dict]:
+def chrome_trace_events(source: _RecordsOrTracer) -> List[Dict]:
     """The ``traceEvents`` list for *source*, timestamps normalized.
 
     Timestamps are microseconds relative to the earliest record, which
-    is what the Chrome/Perfetto viewers expect.  Process-name metadata
-    events label the parent and the workers when *parent_pid* is given.
+    is what the Chrome/Perfetto viewers expect.
     """
     records = _records(source)
     events: List[Dict] = []
@@ -76,20 +74,12 @@ def chrome_trace_events(source: _RecordsOrTracer,
         if record.args:
             event["args"] = dict(record.args)
         events.append(event)
-    if parent_pid is not None:
-        for pid in sorted({r.pid for r in records}):
-            role = "parent" if pid == parent_pid else "worker"
-            events.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": f"repro {role} (pid {pid})"},
-            })
     return events
 
 
-def write_chrome_trace(source: _RecordsOrTracer, path: str,
-                       parent_pid: Optional[int] = None) -> int:
+def write_chrome_trace(source: _RecordsOrTracer, path: str) -> int:
     """Write *source* as Chrome trace_event JSON; returns the event count."""
-    events = chrome_trace_events(source, parent_pid=parent_pid)
+    events = chrome_trace_events(source)
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     try:
         with open(path, "w") as handle:
@@ -119,8 +109,8 @@ def aggregate_spans(source: _RecordsOrTracer) -> List[SpanStats]:
     """Per-name stats, descending self time (the profiling question).
 
     Self time is exact: each span's child durations are subtracted using
-    the recorded ``(pid, parent sid)`` links, so reparenting across the
-    worker merge cannot double-count.
+    the recorded ``(pid, parent sid)`` links, so records aggregated from
+    several processes cannot double-count.
     """
     records = _records(source)
     child_time: Dict[Tuple[int, int], float] = {}
@@ -169,7 +159,7 @@ def format_trace_summary(source: _RecordsOrTracer,
 # Schema validation
 # ---------------------------------------------------------------------------
 
-_PHASES = {"X", "i", "M"}
+_PHASES = {"X", "i"}
 
 
 def validate_trace(payload: object) -> int:
@@ -200,8 +190,6 @@ def validate_trace(payload: object) -> int:
             raise TraceError(f"{where} ({name}) has no integer pid")
         if not isinstance(event.get("tid"), int):
             raise TraceError(f"{where} ({name}) has no integer tid")
-        if phase == "M":
-            continue
         ts = event.get("ts")
         if not isinstance(ts, (int, float)) or ts < 0:
             raise TraceError(f"{where} ({name}) has bad ts {ts!r}")

@@ -22,15 +22,6 @@ manager — ``benchmarks/bench_trace_overhead.py`` keeps that under the
 where it creates the run's counters and closes it in the same ``finally``
 that merges them, so a run that dies mid-analysis still leaves a
 balanced, flushable span buffer.
-
-Cross-process collection: worker processes (``repro.parallel``) install
-their own tracer when the shipped :class:`~repro.parallel.AnalyzerSpec`
-says tracing is on, :meth:`Tracer.drain` their buffer at the end of each
-task, and return the records through the existing executor result
-channel; the parent folds them in with :meth:`Tracer.extend`.  Records
-carry the emitting pid, and ``time.perf_counter`` is CLOCK_MONOTONIC
-system-wide on Linux, so parent and worker timestamps share one
-timeline.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 __all__ = [
     "SpanRecord",
@@ -61,10 +52,9 @@ class SpanRecord(NamedTuple):
     exporters normalize to the earliest record.  ``sid`` is unique per
     tracer and ``parent`` names the enclosing span's ``sid`` (``-1`` at
     top level), so aggregation can compute exact self times; ``(pid,
-    sid)`` stays unique after cross-process merges.  ``phase`` follows
-    the Chrome trace_event vocabulary: ``"X"`` complete span, ``"i"``
-    instant.  NamedTuples pickle compactly, which is what lets worker
-    buffers ride the executor result channel unchanged.
+    sid)`` stays unique when records from several processes' trace
+    files are aggregated together.  ``phase`` follows the Chrome
+    trace_event vocabulary: ``"X"`` complete span, ``"i"`` instant.
     """
 
     name: str
@@ -176,19 +166,6 @@ class Tracer:
     def open_spans(self) -> int:
         """Spans entered but not yet exited (0 = balanced buffer)."""
         return len(self._stack)
-
-    # -- cross-process merge ------------------------------------------------
-
-    def drain(self) -> List[SpanRecord]:
-        """Take (and clear) the finished records — the worker side of the
-        result-channel handoff.  Open spans stay open."""
-        records = self.records
-        self.records = []
-        return records
-
-    def extend(self, records: Iterable[SpanRecord]) -> None:
-        """Fold records drained elsewhere (typically a worker) in."""
-        self.records.extend(SpanRecord(*record) for record in records)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ invariants, and a failing-netlist shrinker.
 
 The package closes the loop on the equivalence contracts the rest of the
 repo asserts piecemeal (incremental == reference, delta == full sweep,
-parallel == serial, numpy ~= python kernel): it *generates* random
-switch-level netlists, runs each through the whole engine-mode matrix,
+numpy ~= python kernel): it *generates* random switch-level netlists,
+runs each through the whole engine-mode matrix,
 compares every mode against its matched brute-force reference, layers
 model-level metamorphic invariants on top, and delta-debugs any failure
 down to a minimal ``.sim``/``.vec`` reproducer that ``repro verify

@@ -2,18 +2,17 @@
 
 An :class:`EngineMode` freezes one complete engine configuration —
 incremental vs. brute-force reference, dirty-cone delta re-analysis,
-analysis ordering, scenario sharding across worker processes, RC-tree
-kernel backend, slope quantization.  :func:`run_mode` executes one case
-under one mode through the stock sweep engine (so the conformance runner
-exercises exactly the code paths users hit) and reduces the result to a
-comparable :class:`ModeOutcome`.
+analysis ordering, RC-tree kernel backend, slope quantization.
+:func:`run_mode` executes one case under one mode through the stock
+sweep engine (so the conformance runner exercises exactly the code paths
+users hit) and reduces the result to a comparable :class:`ModeOutcome`.
 
 Comparability rules (who must agree with whom, and how tightly):
 
 * modes sharing a ``(kernel, slope_quantum)`` pair must be
   **bit-identical** to the brute-force reference of that pair
-  (``incremental=False``, serial, no delta) — that is the repo-wide
-  equivalence contract of DESIGN.md §5b/§5c/§5e;
+  (``incremental=False``, no delta) — that is the repo-wide
+  equivalence contract of DESIGN.md §5b/§5e;
 * the two kernels' references agree only to 1e-9 relative (different
   float evaluation order), mirroring ``tests/test_kernel_differential``;
 * quantized modes are compared only against their matched quantized
@@ -52,7 +51,6 @@ class EngineMode:
     name: str
     incremental: bool = True
     delta: bool = False
-    jobs: int = 1
     kernel: str = "numpy"
     slope_quantum: float = 0.0
     order: str = "given"
@@ -64,8 +62,8 @@ class EngineMode:
 
     @property
     def is_reference(self) -> bool:
-        """True for a brute-force serial baseline configuration."""
-        return (not self.incremental and not self.delta and self.jobs == 1
+        """True for a brute-force baseline configuration."""
+        return (not self.incremental and not self.delta
                 and self.order == "given")
 
     def reference(self) -> "EngineMode":
@@ -88,7 +86,6 @@ MODES: Dict[str, EngineMode] = {
         EngineMode(name="incremental"),
         EngineMode(name="delta", delta=True),
         EngineMode(name="delta-greedy", delta=True, order="greedy"),
-        EngineMode(name="parallel2", jobs=2),
         EngineMode(name="python", kernel="python"),
         EngineMode(name="quantized", slope_quantum=0.05),
     )
@@ -164,7 +161,7 @@ def run_mode(case: ConformanceCase, mode: EngineMode,
                               slope_quantum=mode.slope_quantum,
                               kernel=mode.kernel)
     sweep = run_sweep(case.network, ExplicitVectors(list(case.vectors)),
-                      analyzer=analyzer, jobs=mode.jobs, delta=mode.delta,
+                      analyzer=analyzer, delta=mode.delta,
                       order=mode.order)
     arrivals = {outcome.label: outcome.result.arrivals
                 for outcome in sweep.outcomes}

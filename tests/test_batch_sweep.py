@@ -309,6 +309,29 @@ class TestRunSweep:
             assert a.worst_time == b.worst_time
 
 
+class TestVectorValidation:
+    """Bad vectors fail up front, naming the vector, before any analysis."""
+
+    def test_unknown_node_raises_sweep_error(self, rca4):
+        vectors = ExplicitVectors([
+            Vector(label="ok",
+                   inputs={n: 0.0 for n in adder_input_names(4)}),
+            Vector(label="typo",
+                   inputs={**{n: 0.0 for n in adder_input_names(4)},
+                           "ghost": 1e-9}),
+        ])
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(rca4, vectors)
+        message = str(excinfo.value)
+        assert "typo" in message and "ghost" in message
+
+    def test_missing_primary_input_names_the_vector(self, rca4):
+        vectors = ExplicitVectors([
+            Vector(label="partial", inputs={"a0": 0.0})])
+        with pytest.raises(SweepError, match="partial"):
+            run_sweep(rca4, vectors)
+
+
 class TestBatchPerf:
     def _batch(self):
         batch = BatchPerf()

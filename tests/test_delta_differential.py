@@ -4,11 +4,9 @@ Random feed-forward gate networks × random vector batches, asserting the
 dirty-cone delta engine agrees bit-identically with the full batch and
 with per-vector fresh analyzers — across every analysis order, across
 mid-sequence cache invalidation (including a real ``resize_transistor``
-edit), and on both RC-tree kernel backends.  Plus the pickled
-template-export round trip the worker boundary depends on.
+edit), and on both RC-tree kernel backends.
 """
 
-import pickle
 import random
 
 import pytest
@@ -21,7 +19,6 @@ from repro.circuits import shift_register
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.core.timing.clocking import (ClockSchedule, clock_input_spec,
                                         setup_checks)
-from repro.parallel import AnalyzerSpec
 from repro.tech import CMOS3
 
 from .test_batch_differential import assert_identical
@@ -118,11 +115,10 @@ class TestDeltaEqualsFull:
             assert_identical(delta[index], full[index], index)
 
 
-class TestClockedGreedySharded:
-    """The previously uncovered combination: a clocked circuit swept with
-    dirty-cone delta, greedy vector ordering, AND scenario sharding at
-    once (ISSUE 8 S1).  Arrivals and the setup-check reports must both be
-    bit-identical to the plain serial sweep."""
+class TestClockedGreedyDelta:
+    """A clocked circuit swept with dirty-cone delta and greedy vector
+    ordering at once: arrivals and the setup-check reports must both be
+    bit-identical to the plain sweep."""
 
     @staticmethod
     def _clocked_sweep_inputs(stages, seed):
@@ -144,44 +140,19 @@ class TestClockedGreedySharded:
 
     @settings(max_examples=4, deadline=None)
     @given(stages=st.integers(1, 4), seed=st.integers(0, 10 ** 6))
-    def test_clocked_delta_greedy_sharded_equals_plain(self, stages, seed):
+    def test_clocked_delta_greedy_equals_plain(self, stages, seed):
         net, schedule, vectors = self._clocked_sweep_inputs(stages, seed)
         clocks = {"phi1": "phi1", "phi2": "phi2"}
         plain = run_sweep(net, ExplicitVectors(vectors))
         fancy = run_sweep(net, ExplicitVectors(vectors), delta=True,
-                          order="greedy", jobs=2)
+                          order="greedy")
         assert ([o.label for o in fancy.outcomes]
                 == [o.label for o in plain.outcomes])
         for expected, outcome in zip(plain.outcomes, fancy.outcomes):
             assert_identical(outcome.result, expected.result,
-                             ("clocked-greedy-sharded", outcome.label))
+                             ("clocked-greedy-delta", outcome.label))
             want = [str(c) for c in setup_checks(net, expected.result,
                                                  clocks, schedule)]
             got = [str(c) for c in setup_checks(net, outcome.result,
                                                 clocks, schedule)]
             assert got == want, (outcome.label, got, want)
-
-
-class TestTemplateRoundTrip:
-    @settings(max_examples=6, deadline=None)
-    @given(recipe=gate_recipe, vecs=vector_recipe)
-    def test_export_seed_survives_pickle(self, recipe, vecs):
-        """export_templates() → pickle → seed_templates() (the worker
-        boundary): the seeded analyzer answers identically and compiles
-        nothing the parent already compiled."""
-        net, inputs, _, _ = build_dag(CMOS3, recipe)
-        vectors = _vectors_from_recipe(inputs, vecs)
-
-        parent = TimingAnalyzer(net)
-        expected = parent.analyze_many(vectors, delta=True)
-        payload = pickle.dumps(AnalyzerSpec.from_analyzer(parent),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-
-        spec = pickle.loads(payload)
-        child = spec.build()
-        results = child.analyze_many(vectors, delta=True)
-        for index in range(len(vectors)):
-            assert_identical(results[index], expected[index], index)
-        if parent.export_templates():
-            assert child.perf.get("tree_template_misses") == 0, (
-                "seeded worker recompiled templates the parent shipped")

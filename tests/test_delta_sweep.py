@@ -2,9 +2,8 @@
 
 Dirty cones on the stage graph, ``analyze_delta`` equivalence and
 carryover life-cycle, delta-minimizing vector orderings (Gray code,
-greedy Hamming), the sweep engine's delta/order plumbing, delta-aware
-chunk boundaries, the simulator's incremental vector API, and the CLI
-flags.
+greedy Hamming), the sweep engine's delta/order plumbing, the
+simulator's incremental vector API, and the CLI flags.
 """
 
 import pytest
@@ -31,7 +30,6 @@ from repro.circuits import (
 from repro.cli import main
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.errors import SimulationError, SweepError
-from repro.parallel import delta_aware_chunks
 from repro.switchlevel import SwitchSimulator
 from repro.tech import CMOS3
 
@@ -147,13 +145,6 @@ class TestAnalyzeDelta:
         # post-invalidation run is a cold analysis, not a zero-delta skip
         assert result.perf.get("delta_scenarios") == 0
         assert result.perf.get("stage_visits") > 0
-
-    def test_clear_carryover_forces_cold_start(self, rca4, rca4_vectors):
-        analyzer = TimingAnalyzer(rca4)
-        analyzer.analyze_delta(rca4_vectors[0].inputs)
-        analyzer.clear_carryover()
-        result = analyzer.analyze_delta(rca4_vectors[0].inputs)
-        assert result.perf.get("delta_scenarios") == 0
 
     def test_resize_after_invalidate_is_correct(self):
         net = inverter_chain(CMOS3, 3)
@@ -290,15 +281,6 @@ class TestRunSweepDelta:
         assert delta.batch_perf.delta_skip_rate > 0
         assert "delta sweeps:" in delta.batch_perf.format_table()
 
-    def test_delta_composes_with_jobs(self, rca4, rca4_vectors):
-        serial = run_sweep(rca4, rca4_vectors, delta=True, order="greedy")
-        sharded = run_sweep(rca4, rca4_vectors, delta=True, order="greedy",
-                            jobs=2)
-        for a, b in zip(serial.outcomes, sharded.outcomes):
-            assert a.label == b.label
-            assert_identical(b.result, a.result, a.label)
-        assert sharded.parallel is not None
-
     def test_delta_composes_with_python_kernel(self, rca4, rca4_vectors):
         numpy_side = run_sweep(rca4, rca4_vectors, delta=True)
         python_side = run_sweep(rca4, rca4_vectors, delta=True,
@@ -314,38 +296,6 @@ class TestRunSweepDelta:
             run_sweep(rca4, doubled)
         with pytest.raises(SweepError, match=rca4_vectors[2].label):
             run_sweep(rca4, doubled)
-
-
-class TestDeltaAwareChunks:
-    def test_partitions_every_index(self):
-        deltas = [0, 1, 9, 1, 1, 8, 1, 1]
-        spans = delta_aware_chunks(deltas, 3)
-        assert spans[0][0] == 0 and spans[-1][1] == len(deltas)
-        for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            assert hi == lo
-        assert all(hi > lo for lo, hi in spans)
-
-    def test_prefers_high_delta_boundaries(self):
-        # equal-count cut would be at 4; the high delta sits at 5
-        deltas = [0, 1, 1, 1, 1, 9, 1, 1]
-        spans = delta_aware_chunks(deltas, 2)
-        assert spans == [(0, 5), (5, 8)]
-
-    def test_uniform_deltas_degenerate_to_balanced(self):
-        spans = delta_aware_chunks([1] * 8, 2)
-        assert spans == [(0, 4), (4, 8)]
-
-    def test_edge_cases(self):
-        assert delta_aware_chunks([], 4) == []
-        assert delta_aware_chunks([0, 1], 1) == [(0, 2)]
-        assert delta_aware_chunks([0], 4) == [(0, 1)]
-        with pytest.raises(ValueError):
-            delta_aware_chunks([0, 1], 0)
-
-    def test_deterministic(self):
-        deltas = [0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
-        assert (delta_aware_chunks(deltas, 4)
-                == delta_aware_chunks(list(deltas), 4))
 
 
 class TestSimulatorIncrement:

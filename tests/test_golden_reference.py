@@ -13,6 +13,10 @@ on inverter chains and a pass-transistor chain, and compare the
   committed golden — a regression gate on every layer the number flows
   through (characterization, RC trees, slope tables, the analyzer).
 
+The analog transients make that full check ``slow``.  A tier-1 class
+re-runs only the switch-level side and measures it against the stored
+reference delays, so any change to the model numerics fails fast.
+
 Goldens were recorded with the test suite's coarse characterization grid
 (``TEST_RATIOS`` in conftest), which is deterministic.  After an
 *intentional* model change, regenerate with::
@@ -66,6 +70,32 @@ def goldens():
         "PYTHONPATH=src:. python tests/test_golden_reference.py "
         "--regenerate")
     return json.loads(GOLDEN_FILE.read_text())["scenarios"]
+
+
+class TestStoredGoldens:
+    """The slope model against the committed goldens, no transient run."""
+
+    @pytest.fixture(scope="class")
+    def estimated(self, cmos_char):
+        return {s.name: model_delay(s, SlopeModel())[0]
+                for s in _selected_scenarios(cmos_char)}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_slope_delay_matches_golden(self, name, estimated, goldens):
+        assert estimated[name] == pytest.approx(
+            goldens[name]["slope_delay"], rel=1e-9), (
+            f"{name}: slope-model delay moved from the committed golden")
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_error_against_stored_reference(self, name, estimated, goldens):
+        golden = goldens[name]
+        error = (estimated[name] - golden["reference"]) / golden["reference"]
+        assert abs(error) <= MAX_ABS_ERROR, (
+            f"{name}: slope model off by {error:+.1%} vs the stored analog "
+            f"reference (band ±{MAX_ABS_ERROR:.0%})")
+        assert abs(error - golden["rel_error"]) <= MAX_DRIFT, (
+            f"{name}: slope-model error drifted from the committed golden "
+            f"({golden['rel_error']:+.1%} → {error:+.1%})")
 
 
 @pytest.mark.slow

@@ -10,7 +10,6 @@ isomorphic stages from their representative's templates.
 """
 
 import math
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -122,17 +121,6 @@ class TestKernelVsScalar:
             set_forced_backend("fortran")
 
 
-class TestTemplatePickling:
-    def test_roundtrip_preserves_constants(self):
-        tree = RCTree.chain([1e3, 2e3, 3e3], [1e-12, 2e-12, 3e-12])
-        template = TreeTemplate.from_rctree(tree)
-        want = template.constants_for(tree.leaf())  # populate the memo
-        clone = pickle.loads(pickle.dumps(template))
-        assert clone.names == template.names
-        assert clone.parent == template.parent
-        assert_constants_close(clone.constants_for(tree.leaf()), want)
-
-
 class TestAnalyzerDifferential:
     @pytest.fixture(scope="class")
     def rca8(self):
@@ -186,7 +174,7 @@ class TestAnalyzerDifferential:
             assert many.perf.get(counter) == one.perf.get(counter), counter
         assert many.perf.get("model_evals") > 0
         stages = analyzer.graph.stages
-        for key in analyzer.export_templates():
+        for key in analyzer._templates:
             assert all(node.startswith("c0_")
                        for node in stages[key[0]].internal_nodes), key
         assert len(many.arrivals) == 3 * len(one.arrivals)
@@ -199,9 +187,9 @@ class TestAnalyzerDifferential:
         network, inputs = rca8
         analyzer = TimingAnalyzer(network, kernel="numpy")
         analyzer.analyze(inputs)
-        assert analyzer.export_templates()
+        assert analyzer._templates
         analyzer.invalidate_caches()
-        assert not analyzer.export_templates()
+        assert not analyzer._templates
         # And a re-run after invalidation still agrees with itself.
         again = analyzer.analyze(inputs)
         assert again.arrivals

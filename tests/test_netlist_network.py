@@ -1,7 +1,12 @@
 """Tests for nodes, elements and the Network container."""
 
+import pickle
+
 import pytest
 
+from repro.circuits import adder_input_names, ripple_carry_adder
+from repro.core.models import characterize_technology
+from repro.core.timing import TimingAnalyzer
 from repro.errors import NetlistError
 from repro.netlist import GND, VDD, Network, NodeRole, canonical_name
 from repro.netlist.transistor import Capacitor, Resistor, Transistor
@@ -243,3 +248,37 @@ class TestMerge:
         net.add_transistor(DeviceKind.NMOS_ENH, "a", "gnd", "y")
         text = net.summary()
         assert "demo" in text and "1 transistors" in text
+
+
+class TestNetworkPickling:
+    """Networks and characterized technologies survive a pickle round
+    trip, so analyses can be shipped or cached by callers."""
+
+    def test_round_trip_preserves_structure(self):
+        net = ripple_carry_adder(CMOS3, 4)
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone.name == net.name
+        assert len(clone.nodes) == len(net.nodes)
+        assert len(clone.transistors) == len(net.transistors)
+        assert (sorted(n.name for n in clone.inputs())
+                == sorted(n.name for n in net.inputs()))
+
+    def test_clone_analyzes_identically(self):
+        net = ripple_carry_adder(CMOS3, 4)
+        inputs = {name: 0.0 for name in adder_input_names(4)}
+        clone = pickle.loads(pickle.dumps(net))
+        a = TimingAnalyzer(net).analyze(inputs)
+        b = TimingAnalyzer(clone).analyze(inputs)
+        assert set(a.arrivals) == set(b.arrivals)
+        for event in a.arrivals:
+            assert a.arrivals[event].time == b.arrivals[event].time
+            assert a.arrivals[event].slope == b.arrivals[event].slope
+
+    def test_characterized_technology_pickles(self):
+        # Regression: the pass-gate fixture builder used to be a closure,
+        # which made every characterized Technology (and so any network
+        # built on one) unpicklable.
+        for base in (CMOS3, NMOS4):
+            tech = characterize_technology(base)
+            clone = pickle.loads(pickle.dumps(tech))
+            assert clone.name == tech.name

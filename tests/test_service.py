@@ -330,7 +330,9 @@ class TestServiceEndToEnd:
         ("slope_quantum", '"slope_quantum": 1e400, '
                           '"vectors": [{"inputs": {"a": "0", "b": "0"}}]'),
         ("inputs['a']", '"vectors": [{"inputs": {"a": "1e400", "b": "0"}}]'),
-    ], ids=["slope-quantum", "input-token"])
+        ("input 'a': negative slope",
+         '"vectors": [{"inputs": {"a": "0/-2e-09", "b": "0"}}]'),
+    ], ids=["slope-quantum", "input-token", "negative-slope"])
     def test_overflowing_number_is_400(self, service, field, body):
         import http.client as http_client
         host, port = service.service.address

@@ -109,6 +109,13 @@ class TestInputSpecs:
         with pytest.raises(TimingError, match="input 'a1'.*not finite"):
             TimingAnalyzer(net).analyze({"a0": 0.0, "a1": spec})
 
+    def test_negative_slope_rejected(self):
+        net = nand_gate(CMOS3, 2)
+        with pytest.raises(TimingError,
+                           match=r"input 'a1': negative slope -1e-09"):
+            TimingAnalyzer(net).analyze(
+                {"a0": 0.0, "a1": InputSpec(0.0, 0.0, -1e-9)})
+
 
 class TestResultAccess:
     @pytest.fixture

@@ -1,8 +1,6 @@
 """Tests for clocked timing analysis: schedules, setup checks, min period."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.circuits import Gates, shift_register
 from repro.core.timing import (
@@ -147,79 +145,3 @@ class TestMinimumPeriod:
         clocked = analyze_clocked(net, {"din": 0.0}, {"phi": "phi1"},
                                   passing)
         assert not clocked.violations
-
-
-class TestParallelDifferential:
-    """Setup checks computed from a parallel analysis must match serial.
-
-    :func:`setup_checks` consumes only the :class:`TimingResult`; the
-    level-front executor guarantees bit-identical arrivals, so every
-    derived check — slack, required time, ok flag — must compare equal
-    (frozen-dataclass equality, no tolerance).
-    """
-
-    STAGES = 3
-
-    @classmethod
-    def _fixture(cls):
-        from repro.core.timing import TimingAnalyzer
-        from repro.parallel import ParallelConfig, ParallelExecutor
-        from repro.parallel.worker import AnalyzerSpec
-
-        if not hasattr(cls, "_net"):
-            cls._net = shift_register(CMOS3, stages=cls.STAGES)
-            cls._schedule = ClockSchedule.two_phase(40e-9, separation=2e-9)
-            cls._clocks = {"phi1": "phi1", "phi2": "phi2"}
-            cls._analyzer = TimingAnalyzer(cls._net)
-            cls._config = ParallelConfig(jobs=2, min_front=1)
-            cls._executor = ParallelExecutor(
-                AnalyzerSpec.from_analyzer(cls._analyzer), cls._config)
-        return cls._net
-
-    def _inputs(self, din_rise, din_fall):
-        from repro.core.timing.clocking import clock_input_spec
-        schedule = type(self)._schedule
-        inputs = {"din": InputSpec(arrival_rise=din_rise,
-                                   arrival_fall=din_fall)}
-        for clock, phase_name in type(self)._clocks.items():
-            inputs[clock] = clock_input_spec(
-                schedule.phase(phase_name), schedule.clock_slope)
-        return inputs
-
-    def _checks(self, din_rise, din_fall):
-        from repro.core.timing import TimingAnalyzer, setup_checks
-        from repro.parallel import parallel_analyze
-
-        cls = type(self)
-        net = self._fixture()
-        inputs = self._inputs(din_rise, din_fall)
-        serial = TimingAnalyzer(net).analyze(inputs)
-        par = parallel_analyze(
-            net, inputs, jobs=2, analyzer=cls._analyzer,
-            config=cls._config, executor=cls._executor)
-        assert not par.perf.parallel.fell_back
-        return (setup_checks(net, serial, cls._clocks, cls._schedule),
-                setup_checks(net, par, cls._clocks, cls._schedule))
-
-    def test_checks_identical_for_nominal_arrivals(self):
-        serial, par = self._checks(0.0, 0.0)
-        assert serial, "fixture produced no setup checks"
-        assert serial == par
-
-    def test_checks_identical_for_late_data(self):
-        serial, par = self._checks(15e-9, 12e-9)
-        assert serial == par
-
-    @given(
-        din_rise=st.floats(min_value=0.0, max_value=30e-9),
-        din_fall=st.floats(min_value=0.0, max_value=30e-9),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_checks_identical_under_hypothesis(self, din_rise, din_fall):
-        serial, par = self._checks(din_rise, din_fall)
-        assert serial == par
-
-    @classmethod
-    def teardown_class(cls):
-        if hasattr(cls, "_executor"):
-            cls._executor.shutdown()

@@ -140,22 +140,6 @@ class TestHazardUnits:
         assert set(strict) <= set(loose)
         assert all(h.severity >= 0.9 for h in strict)
 
-
-class TestParallelDifferential:
-    """Hazard results must not change when the parallel executor runs."""
-
-    def test_scan_unchanged_after_parallel_analyze(self):
-        from repro.parallel import ParallelConfig, parallel_analyze
-        net = storage_vs_bus(CMOS3)
-        states = {"wr": Logic.ZERO, "pre": Logic.ZERO}
-        before = find_charge_sharing_hazards(net, states)
-        inputs = {n.name: 0.0 for n in net.inputs()}
-        result = parallel_analyze(
-            net, inputs, jobs=2, config=ParallelConfig(jobs=2, min_front=1))
-        assert result.arrivals  # the run actually analyzed something
-        after = find_charge_sharing_hazards(net, states)
-        assert before == after
-
     @given(
         storage=st.floats(min_value=1e-15, max_value=200e-15),
         bus=st.floats(min_value=1e-15, max_value=200e-15),

@@ -1,20 +1,17 @@
 """Tests for the observability subsystem (:mod:`repro.trace`).
 
-Covers the tracer core (nesting, parent links, drain/extend, balance
-under exceptions), the Chrome trace_event exporter and its validator,
-the bench-trend data layer, and the engine integration rules the design
-pins down: spans never leak across scenarios, the delta counters reset
-exactly where DESIGN.md §5e says, and worker spans merge onto the parent
-timeline.
+Covers the tracer core (nesting, parent links, balance under
+exceptions), the Chrome trace_event exporter and its validator, the
+bench-trend data layer, and the engine integration rules the design
+pins down: spans never leak across scenarios and the delta counters
+reset exactly where DESIGN.md §5e says.
 """
 
 import json
 
 import pytest
 
-from repro.batch import ExplicitVectors, run_sweep
-from repro.circuits import adder_input_names, inverter_chain, \
-    ripple_carry_adder
+from repro.circuits import inverter_chain
 from repro.core.timing import TimingAnalyzer
 from repro.errors import TraceError
 from repro.tech import CMOS3
@@ -87,18 +84,6 @@ class TestTracer:
         assert tracer.open_spans == 0
         assert [r.name for r in tracer.records] == ["inner", "outer"]
 
-    def test_drain_and_extend(self, tracer):
-        with trace_spans.span("a"):
-            pass
-        taken = tracer.drain()
-        assert [r.name for r in taken] == ["a"]
-        assert tracer.records == []
-        other = Tracer()
-        # extend accepts plain tuples (the pickled wire form)
-        other.extend(tuple(r) for r in taken)
-        assert other.records[0].name == "a"
-        assert isinstance(other.records[0], SpanRecord)
-
     def test_activate_restores_previous(self):
         first, second = Tracer(), Tracer()
         with trace_spans.activate(first):
@@ -136,21 +121,12 @@ class TestChromeExport:
         assert inner["args"] == {"stage": 3}
         assert all(e["ph"] == "X" for e in events)
 
-    def test_process_metadata_labels_workers(self):
-        records = [record("a", 0.0, 1.0, pid=100),
-                   record("b", 0.0, 1.0, pid=200)]
-        events = chrome_trace_events(records, parent_pid=100)
-        meta = [e for e in events if e["ph"] == "M"]
-        names = {e["pid"]: e["args"]["name"] for e in meta}
-        assert "parent" in names[100]
-        assert "worker" in names[200]
-
     def test_write_validate_round_trip(self, tmp_path, tracer):
         with trace_spans.span("outer"):
             trace_spans.instant("mark")
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(tracer, str(path), parent_pid=1)
-        assert count == validate_trace_file(str(path)) == 3
+        count = write_chrome_trace(tracer, str(path))
+        assert count == validate_trace_file(str(path)) == 2
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
 
@@ -265,7 +241,7 @@ class TestTrends:
 
 class TestEngineIntegration:
     """The DESIGN.md §5e / §7 rules: spans follow the run lifecycle and
-    the delta counters reset exactly at clear_carryover/invalidate."""
+    the delta counters reset exactly at invalidate_caches."""
 
     @pytest.fixture
     def chain(self):
@@ -307,20 +283,6 @@ class TestEngineIntegration:
         # the aborted analyze span is still recorded (flushable buffer)
         assert any(r.name == "analyze" for r in tracer.records)
 
-    def test_delta_counters_reset_at_clear_carryover(self, chain):
-        analyzer = TimingAnalyzer(chain)
-        analyzer.analyze({"in": 0.0})
-        warm = analyzer.analyze_delta({"in": 0.1e-9})
-        assert warm.perf.get("delta_scenarios") == 1
-        assert warm.perf.get("stages_skipped") + \
-            warm.perf.get("cone_stages") > 0
-        analyzer.clear_carryover()
-        cold = analyzer.analyze_delta({"in": 0.2e-9})
-        # §5e: no carryover → full analyze, no delta counters at all
-        assert cold.perf.get("delta_scenarios") == 0
-        assert cold.perf.get("arrivals_reused") == 0
-        assert cold.perf.get("stage_visits") > 0
-
     def test_delta_counters_reset_at_invalidate_caches(self, chain):
         analyzer = TimingAnalyzer(chain)
         analyzer.analyze({"in": 0.0})
@@ -352,41 +314,3 @@ class TestEngineIntegration:
         first_sids = {r.sid for r in tracer.records[:first]}
         for rec in second:
             assert rec.parent == -1 or rec.parent not in first_sids
-
-
-class TestWorkerSpanMerge:
-    def test_parallel_sweep_merges_worker_spans(self, tracer):
-        import os
-        network = ripple_carry_adder(CMOS3, 8)
-        names = adder_input_names(8)
-        base = {name: 0.0 for name in names}
-        vectors = [dict(base, a3=0.05e-9 * i) for i in range(16)]
-        run_sweep(network, ExplicitVectors.from_mappings(vectors), jobs=2)
-        pids = {r.pid for r in tracer.records}
-        assert os.getpid() in pids
-        worker_pids = pids - {os.getpid()}
-        assert len(worker_pids) >= 1
-        worker_spans = [r for r in tracer.records
-                        if r.pid != os.getpid()]
-        assert {"vector_chunk", "analyze"} <= {r.name for r in worker_spans}
-        # (pid, sid) stays unique after the merge — the invariant exact
-        # self-time aggregation depends on
-        keys = [(r.pid, r.sid) for r in tracer.records]
-        assert len(keys) == len(set(keys))
-
-    def test_untraced_parallel_sweep_ships_no_spans(self):
-        assert trace_spans.current() is None
-        network = inverter_chain(CMOS3, 12)
-        vectors = [{"in": 0.1e-9 * i} for i in range(4)]
-        sweep = run_sweep(network, ExplicitVectors.from_mappings(vectors),
-                          jobs=2)
-        assert len(sweep) == 4
-
-    def test_analyzer_spec_carries_tracing_flag(self, tracer):
-        from repro.parallel import AnalyzerSpec
-        network = inverter_chain(CMOS3, 2)
-        spec = AnalyzerSpec.from_analyzer(TimingAnalyzer(network))
-        assert spec.tracing is True
-        trace_spans.uninstall()
-        spec_off = AnalyzerSpec.from_analyzer(TimingAnalyzer(network))
-        assert spec_off.tracing is False

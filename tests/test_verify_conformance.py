@@ -171,7 +171,7 @@ class TestInjectedBug:
         # inherit the same wrong numbers and still agree.  This pins down
         # *why* the cross-kernel reference pair is in the default matrix.
         case = generate_case(CMOS3, seed=0, index=0)
-        numpy_only = parse_modes("reference,incremental,delta,parallel2")
+        numpy_only = parse_modes("reference,incremental,delta,delta-greedy")
         findings = check_case(case, numpy_only, "rc-tree", PerfCounters())
         assert findings == []
         both = parse_modes("reference,python")
