@@ -104,6 +104,18 @@ def _parse_timing_input(token: str) -> tuple:
     return parse_timing_token(token)
 
 
+def _input_specs(args: argparse.Namespace, slope: float) -> dict:
+    """The ``--input`` tokens as ``{node: InputSpec}``; a node given
+    twice is an error, as in a vector file."""
+    inputs = {}
+    for token in args.input or []:
+        name, spec = _parse_timing_input(token)
+        if name in inputs:
+            raise ReproError(f"duplicate node {name!r} in --input")
+        inputs[name] = with_default_slope(spec, slope)
+    return inputs
+
+
 def _parse_set(token: str) -> tuple:
     if "=" not in token:
         raise ReproError(f"bad --set {token!r}; expected name=0|1|x")
@@ -193,10 +205,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
     tech = _tech(args.tech, characterized=not args.no_characterize)
     network = _load(args.netlist, tech)
     model = MODELS[args.model]()
-    inputs = {}
-    for token in args.input or []:
-        name, spec = _parse_timing_input(token)
-        inputs[name] = with_default_slope(spec, slope)
+    inputs = _input_specs(args, slope)
     analyzer = TimingAnalyzer(network, model=model,
                               slope_quantum=args.slope_quantum,
                               kernel=args.kernel)
@@ -244,10 +253,7 @@ def _sweep_source(args: argparse.Namespace, network: Network, slope: float):
         )
     if args.vectors:
         return load_vector_file(args.vectors, default_slope=slope)
-    base = {}
-    for token in args.input or []:
-        name, spec = _parse_timing_input(token)
-        base[name] = with_default_slope(spec, slope)
+    base = _input_specs(args, slope)
     if args.sweep:
         axes = {}
         for token in args.sweep:
@@ -255,6 +261,8 @@ def _sweep_source(args: argparse.Namespace, network: Network, slope: float):
                 raise ReproError(
                     f"bad --sweep {token!r}; expected name=T1,T2,…")
             name, values = token.split("=", 1)
+            if name in axes:
+                raise ReproError(f"duplicate --sweep axis {name!r}")
             specs = []
             for value in values.split(","):
                 _, spec = _parse_timing_input(f"{name}={value.strip()}")

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Dict,
     Iterable,
@@ -82,7 +83,7 @@ from .stage_iso import (
     build_maps,
     element_map,
     stage_signature,
-    translate_paths,
+    translate_path,
 )
 
 #: Arrivals closer than this (relative to the largest magnitude seen) are
@@ -147,20 +148,40 @@ class InputSpec:
                 else self.arrival_fall)
 
 
-@dataclass
+@dataclass(eq=False)
 class Arrival:
-    """Worst-case arrival of one event, with its causal link."""
+    """Worst-case arrival of one event, with its causal link: ``link`` is
+    the winning (candidate table, rank), from which ``path`` and ``trigger``
+    resolve on first read; equality compares them, not the link."""
 
     time: float
     slope: float
     cause: Optional[Event] = None
     stage_delay: Optional[StageDelay] = None
-    path: Optional[SensitizedPath] = None
-    trigger: Optional[Trigger] = None
+    link: Optional[Tuple["_Candidates", int]] = field(default=None,
+                                                      repr=False)
 
     @property
     def is_primary(self) -> bool:
         return self.cause is None
+
+    @cached_property
+    def _located(self) -> Tuple[Optional[SensitizedPath], Optional[Trigger]]:
+        return (None, None) if self.link is None else self.link[0].locate(
+            self.link[1])
+
+    @property
+    def path(self) -> Optional[SensitizedPath]:
+        return self._located[0]
+
+    @property
+    def trigger(self) -> Optional[Trigger]:
+        return self._located[1]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Arrival) and all(
+            getattr(self, name) == getattr(other, name) for name in (
+                "time", "slope", "cause", "stage_delay", "path", "trigger"))
 
 
 @dataclass
@@ -233,21 +254,27 @@ class _Candidates:
     event and ``keys`` its delay-memo key, a small int naming (isomorphism
     representative, target, transition, path order, trigger kind) — so
     isomorphic stages share one ``keys`` tuple and one set of answers.
+    ``paths`` are the representative's; ``iso`` is None on it, else the
+    (name map, element map, stage index) :func:`translate_path` takes.
     """
 
-    __slots__ = ("event", "paths", "triggers", "keys")
+    __slots__ = ("event", "paths", "triggers", "keys", "iso")
 
     def __init__(self, event: Event, paths: List[SensitizedPath],
-                 triggers: Tuple[Event, ...], keys: Tuple[int, ...]):
+                 triggers: Tuple[Event, ...], keys: Tuple[int, ...],
+                 iso: Optional[Tuple[Dict[str, str], Dict, int]]):
         self.event = event
         self.paths = paths
         self.triggers = triggers
         self.keys = keys
+        self.iso = iso
 
     def locate(self, rank: int) -> Tuple[SensitizedPath, Trigger]:
         """The (path, trigger) pair of the entry at *rank*."""
         for path in self.paths:
             if rank < len(path.triggers):
+                if self.iso is not None:
+                    path = translate_path(path, *self.iso)
                 return path, path.triggers[rank]
             rank -= len(path.triggers)
         raise IndexError(rank)
@@ -343,7 +370,8 @@ class TimingAnalyzer:
         self._run_perf: Optional[PerfCounters] = None
         with self.perf.timer("stage_graph_build"):
             self.graph = StageGraph.build(network)
-        # Per-(stage, node, transition) path cache and per-path tree cache.
+        # Per-(representative stage, node, transition) path cache and
+        # per-path tree cache.
         self._paths: Dict[Tuple[int, str, Transition],
                           List[SensitizedPath]] = {}
         self._trees: Dict[Tuple[int, str, Transition, int], RCTree] = {}
@@ -359,12 +387,11 @@ class TimingAnalyzer:
         # Structural sharing (repro.core.timing.stage_iso): the lowest-
         # index stage of each canonical signature is its representative
         # and does the real enumeration/compilation; isomorphic stages
-        # translate its paths and share its delay-memo keys.  Maps
-        # stage.index -> (representative stage, name_map, inverse map,
-        # element map); the maps are None on the representative itself.
+        # read its paths and share its delay-memo keys.  Maps
+        # stage.index -> (representative stage, inverse name map, the
+        # _Candidates.iso record); both None on the representative itself.
         self._stage_iso: Dict[int, Tuple[Stage, Optional[Dict[str, str]],
-                                         Optional[Dict[str, str]],
-                                         Optional[Dict]]] = {}
+                                         Optional[Tuple]]] = {}
         # Network-wide node capacitance memo shared across stages.
         self._node_caps: Dict[str, float] = {}
         # Interned events: one Event object per (node, transition).
@@ -738,6 +765,8 @@ class TimingAnalyzer:
             node = self.network.node(name)
             if node.is_supply:
                 raise TimingError(f"cannot time a supply rail {name!r}")
+            if not node.is_driven_externally:
+                raise TimingError(f"input {name!r} is not a primary input")
             if not isinstance(spec, InputSpec):
                 spec = InputSpec(arrival_rise=float(spec),
                                  arrival_fall=float(spec))
@@ -769,11 +798,11 @@ class TimingAnalyzer:
         return event
 
     def _rep_for(self, stage: Stage) -> Tuple[Stage, Optional[Dict[str, str]],
-                                              Optional[Dict[str, str]],
-                                              Optional[Dict]]:
+                                              Optional[Tuple]]:
         """The stage's structural-sharing record: its representative
-        stage plus the name/element substitutions (None when the stage
-        *is* the representative of its signature).
+        stage, the stage -> representative name map and the translation
+        record of :class:`_Candidates` (both None when the stage *is* the
+        representative of its signature).
 
         Every stage is classified on first use, lowest index first, so
         the representatives do not depend on visit order."""
@@ -785,31 +814,25 @@ class TimingAnalyzer:
                     cap_cache=self._node_caps)
                 rep, rep_names = reps.setdefault(signature, (other, names))
                 if rep is other:
-                    self._stage_iso[other.index] = (other, None, None, None)
+                    self._stage_iso[other.index] = (other, None, None)
                 else:
-                    self._stage_iso[other.index] = (
-                        rep, *build_maps(rep_names, names),
-                        element_map(rep, other))
+                    name_map, inverse = build_maps(rep_names, names)
+                    self._stage_iso[other.index] = (rep, inverse, (
+                        name_map, element_map(rep, other), other.index))
         return self._stage_iso[stage.index]
 
-    def _stage_paths(self, stage: Stage, node: str,
+    def _stage_paths(self, rep: Stage, node: str,
                      transition: Transition) -> List[SensitizedPath]:
-        key = (stage.index, node, transition)
+        """A representative stage's enumerated paths to (node,
+        transition)."""
+        key = (rep.index, node, transition)
         paths = self._paths.get(key)
         if paths is None:
-            rep, name_map, inverse, elements = self._rep_for(stage)
-            if name_map is None:
-                self._count("path_enumerations")
-                with _trace_span("path_enum", stage=stage.index, node=node):
-                    paths = enumerate_paths(
-                        self.network, stage, node, transition, self.states,
-                        caches=self._caches_for(stage))
-            else:
-                rep_paths = self._stage_paths(rep, inverse[node], transition)
-                paths = translate_paths(rep_paths, name_map, elements,
-                                        stage.index)
-                self._count("path_translations")
-            self._paths[key] = paths
+            self._count("path_enumerations")
+            with _trace_span("path_enum", stage=rep.index, node=node):
+                paths = self._paths[key] = enumerate_paths(
+                    self.network, rep, node, transition, self.states,
+                    caches=self._caches_for(rep))
         return paths
 
     def _caches_for(self, stage: Stage) -> StageCaches:
@@ -850,22 +873,26 @@ class TimingAnalyzer:
 
     def _table_for(self, stage: Stage) -> Tuple[_Candidates, ...]:
         """The stage's candidate tables, one per admissible (internal
-        node, transition) in canonical order (built on first use)."""
+        node, transition) in canonical order (built on first use).  An
+        isomorphic stage's tables hold its representative's paths and
+        memo keys, with the trigger events renamed onto the stage."""
         tables = self._tables.get(stage.index)
         if tables is None:
-            rep, name_map, inverse, _ = self._rep_for(stage)
+            rep, inverse, iso = self._rep_for(stage)
+            rename = (iso[0] if iso else {}).get
             built = []
             for node in sorted(stage.internal_nodes):
+                rep_node = node if inverse is None else inverse[node]
                 for transition in _TRANSITIONS:
                     if not self._event_allowed(node, transition):
                         continue
-                    paths = self._stage_paths(stage, node, transition)
+                    paths = self._stage_paths(rep, rep_node, transition)
                     built.append(_Candidates(
                         self._event(node, transition), paths,
-                        tuple(self._event(t.input_node, t.input_transition)
+                        tuple(self._event(rename(t.input_node, t.input_node),
+                                          t.input_transition)
                               for path in paths for t in path.triggers),
-                        self._memo_keys(rep, node if name_map is None
-                                        else inverse[node], transition)))
+                        self._memo_keys(rep, rep_node, transition), iso))
             tables = self._tables[stage.index] = tuple(built)
         return tables
 
@@ -976,14 +1003,12 @@ class TimingAnalyzer:
                 continue
             best_rank, best_time, best_key = rank, time, key
         result = cache[best_key]
-        path, trigger = table.locate(best_rank)
         return Arrival(
             time=best_time,
             slope=result.output_slope,
             cause=table.triggers[best_rank],
             stage_delay=result,
-            path=path,
-            trigger=trigger,
+            link=(table, best_rank),
         ), best_rank
 
     # -- event admission ------------------------------------------------

@@ -15,18 +15,25 @@ one stage: devices are scanned in netlist insertion order (which the
 path enumerator's DFS order also follows), nodes are renamed to small
 integers at first appearance, and every numeric fact the enumeration or
 tree construction reads is folded in — device kind/geometry, resistor
-values, rail identity, internal/boundary membership, external driven-
-ness, the per-node sensitization state, and the effective capacitance of
-internal nodes.  Two stages with equal signatures are therefore
-indistinguishable to :mod:`repro.core.timing.paths` up to the node
-renaming, and their derived resistance/capacitance values are bit-equal
-(same technology lookups on same geometry).
+values, rail identity, internal/boundary membership, the per-node
+sensitization state, the effective capacitance of internal nodes, and
+the external drive of channel terminals.  Drive is read only where a
+walk over channels lands on a node (the path enumerator's source test
+and the opposing-device reachability check), so a node that is only a
+gate contributes its identity and state alone: a NAND fed by ``a`` and
+one fed by ``a``'s complement share a class.  Two stages with equal
+signatures are therefore indistinguishable to
+:mod:`repro.core.timing.paths` up to the node renaming, and their
+derived resistance/capacitance values are bit-equal (same technology
+lookups on same geometry).
 
 The analyzer keeps one *representative* stage per signature; every other
-stage maps its paths through :func:`translate_paths`, which only
-constructs objects — no graph walks, no kernel runs — and shares the
-representative's delay-model answers outright: its compiled templates
-are bit-equal, so no per-stage copy of them is ever made.
+stage reads the representative's path list, trigger events renamed
+through the returned name correspondence, and shares its delay-model
+answers outright: its compiled templates are bit-equal, so no per-stage
+copy of them is ever made.  :func:`translate_path` instantiates one
+representative path for the stage — only a reader of an arrival's causal
+path ever needs it.
 """
 
 from __future__ import annotations
@@ -92,7 +99,9 @@ def stage_signature(network: Network, stage: Stage,
     )
 
     internal = stage.internal_nodes
-    facts: List[Tuple[bool, bool, int, float]] = []
+    terminals = {n for d in stage.transistors for n in d.channel}
+    terminals.update(n for r in stage.resistors for n in (r.node_a, r.node_b))
+    facts: List[Tuple[bool, Optional[bool], int, float]] = []
     for node in ids:  # dict preserves insertion order == id order
         is_internal = node in internal
         if not is_internal:
@@ -105,7 +114,8 @@ def stage_signature(network: Network, stage: Stage,
                 cap = cap_cache[node] = effective_node_cap(network, node)
         facts.append((
             is_internal,
-            network.node(node).is_driven_externally,
+            (network.node(node).is_driven_externally if node in terminals
+             else None),
             _LOGIC_CODES[_state(states, node)],
             cap,
         ))
@@ -130,25 +140,27 @@ def element_map(rep_stage: Stage, stage: Stage) -> Dict[str, Element]:
     return emap
 
 
-def translate_paths(paths: List[SensitizedPath],
-                    name_map: Mapping[str, str],
-                    elements: Mapping[str, Element],
-                    stage_index: int) -> List[SensitizedPath]:
-    """Instantiate a representative stage's enumerated paths for an
-    isomorphic stage: node names substituted, elements replaced by the
-    stage's own devices, enumeration order preserved (it carries the
+def translate_path(path: SensitizedPath, name_map: Mapping[str, str],
+                   elements: Mapping[str, Element],
+                   stage_index: int) -> SensitizedPath:
+    """Instantiate one of a representative stage's enumerated paths for
+    an isomorphic stage: node names substituted, elements replaced by
+    the stage's own devices, trigger order preserved (it carries the
     deterministic tie-break rank)."""
-    out: List[SensitizedPath] = []
-    for path in paths:
-        hops = tuple(
+    return SensitizedPath(
+        stage_index=stage_index,
+        source=name_map.get(path.source, path.source),
+        target=name_map.get(path.target, path.target),
+        transition=path.transition,
+        elements=tuple(
             PathElement(
                 element=elements[hop.element.name],
                 from_node=name_map.get(hop.from_node, hop.from_node),
                 to_node=name_map.get(hop.to_node, hop.to_node),
             )
             for hop in path.elements
-        )
-        triggers = tuple(
+        ),
+        triggers=tuple(
             Trigger(
                 input_node=name_map.get(t.input_node, t.input_node),
                 input_transition=t.input_transition,
@@ -156,13 +168,5 @@ def translate_paths(paths: List[SensitizedPath],
                 device_kind=t.device_kind,
             )
             for t in path.triggers
-        )
-        out.append(SensitizedPath(
-            stage_index=stage_index,
-            source=name_map.get(path.source, path.source),
-            target=name_map.get(path.target, path.target),
-            transition=path.transition,
-            elements=hops,
-            triggers=triggers,
-        ))
-    return out
+        ),
+    )

@@ -34,7 +34,6 @@ STANDARD_COUNTERS: Dict[str, str] = {
     "model_cache_misses": "memo misses (same as model_evals when cold)",
     "arrival_updates": "arrival improvements committed",
     "path_enumerations": "per-(stage, node, transition) path enumerations",
-    "path_translations": "path sets instantiated from an isomorphic stage",
     "tree_builds": "RC trees constructed",
     "tree_template_misses": "tree templates compiled (first visit of a path)",
     "tree_template_hits": "compiled-template reuses by later candidates",

@@ -52,7 +52,8 @@ from ..errors import ReproError, ServiceError
 from ..perf import PerfCounters
 from ..trace import spans as trace_spans
 from .pool import AnalyzerPool
-from .protocol import AnalyzeRequest, encode_result, parse_analyze_request
+from .protocol import (AnalyzeRequest, decode_body, encode_result,
+                       parse_analyze_request)
 
 __all__ = ["ServiceConfig", "TimingService", "run", "serve"]
 
@@ -338,7 +339,7 @@ class TimingService:
             self.perf.incr("service_rejected_draining")
             return 503, {"error": "service is draining"}
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = decode_body(body)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return 400, {"error": f"request body is not valid JSON: {exc}"}
         try:

@@ -13,8 +13,9 @@ One request analyzes a batch of input vectors against one netlist:
 Input values use the stock two-edge timing-token grammar (everything
 after the ``=`` of ``NODE=RISE~FALL[/SLOPE]`` — see
 :func:`repro.batch.parse_timing_token`), so a request is exactly a
-``.vec`` file in JSON clothes.  The response carries one entry per
-vector, arrivals sorted by (node, edge):
+``.vec`` file in JSON clothes, down to refusing a node named twice in
+one vector; a key repeated in any JSON object is refused too.  The
+response carries one entry per vector, arrivals sorted by (node, edge):
 
 .. code-block:: json
 
@@ -40,7 +41,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..batch.vectors import Vector, format_timing_token, parse_timing_token
 from ..core.models import (
@@ -58,6 +59,7 @@ __all__ = [
     "MODELS",
     "TECHNOLOGIES",
     "decode_arrivals",
+    "decode_body",
     "encode_inputs",
     "encode_result",
     "parse_analyze_request",
@@ -110,11 +112,45 @@ def _need(condition: bool, message: str) -> None:
         raise ServiceError(message)
 
 
+class _Pairs(dict):
+    """A decoded JSON object whose text named some key more than once;
+    ``pairs`` keeps every (key, value) in document order."""
+
+    pairs: List[Tuple[str, object]]
+
+
+def _keep_pairs(pairs: List[Tuple[str, object]]) -> dict:
+    decoded = dict(pairs)
+    if len(decoded) < len(pairs):
+        decoded = _Pairs(decoded)
+        decoded.pairs = pairs
+    return decoded
+
+
+def decode_body(body: bytes) -> object:
+    """Decode a request body.  ``json.loads`` keeps only the last value
+    of a repeated key; here an object that repeats one decodes to a
+    :class:`_Pairs`, which :func:`parse_analyze_request` refuses, naming
+    where the repeat is."""
+    return json.loads(body.decode("utf-8"), object_pairs_hook=_keep_pairs)
+
+
+def _repeated_key(obj: dict) -> Optional[str]:
+    seen = set()
+    for key, _ in getattr(obj, "pairs", ()):
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
 def parse_analyze_request(payload: object) -> AnalyzeRequest:
     """Validate a decoded request body; raises :class:`ServiceError`
     (mapped to a 400 response) naming the offending field."""
     _need(isinstance(payload, dict), "request body must be a JSON object")
     assert isinstance(payload, dict)
+    repeated = _repeated_key(payload)
+    _need(repeated is None, f"request field {repeated!r} given twice")
     unknown = set(payload) - {"netlist", "tech", "model", "kernel",
                               "slope_quantum", "characterize", "vectors"}
     _need(not unknown,
@@ -149,6 +185,9 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
     for position, entry in enumerate(raw_vectors):
         _need(isinstance(entry, dict),
               f"vectors[{position}] must be an object")
+        repeated = _repeated_key(entry)
+        _need(repeated is None,
+              f"vectors[{position}]: field {repeated!r} given twice")
         label = entry.get("label", f"v{position}")
         _need(isinstance(label, str) and label,
               f"vectors[{position}].label must be a non-empty string")
@@ -156,7 +195,7 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
         _need(isinstance(raw_inputs, dict) and raw_inputs,
               f"vectors[{position}] needs a non-empty 'inputs' object")
         inputs: Dict[str, InputSpec] = {}
-        for name, value in raw_inputs.items():
+        for name, value in getattr(raw_inputs, "pairs", raw_inputs.items()):
             _need(isinstance(value, str),
                   f"vectors[{position}].inputs[{name!r}] must be a "
                   "timing-token string")
@@ -165,6 +204,9 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
             except ReproError as exc:
                 raise ServiceError(
                     f"vectors[{position}].inputs[{name!r}]: {exc}") from exc
+            _need(parsed_name not in inputs,
+                  f"vectors[{position}].inputs: duplicate node "
+                  f"{parsed_name!r} in vector {label!r}")
             inputs[parsed_name] = spec
         vectors.append(Vector(label=label, inputs=inputs))
 

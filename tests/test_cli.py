@@ -362,6 +362,33 @@ class TestArgumentChecks:
             self._argv(command, nand_file, "--count", "-1"), capsys)
         assert "--count" in err
 
+    @pytest.mark.parametrize("command", ["timing", "sweep"])
+    def test_node_given_twice_rejected(self, nand_file, command, capsys):
+        err = self._fails_cleanly(
+            self._argv(command, nand_file, "--input", "b=5n"), capsys)
+        assert "duplicate node 'b' in --input" in err
+
+    def test_sweep_axis_given_twice_rejected(self, nand_file, capsys):
+        err = self._fails_cleanly(
+            self._argv("sweep", nand_file, "--sweep", "a=2n"), capsys)
+        assert "duplicate --sweep axis 'a'" in err
+
+    def test_timing_an_internal_node_rejected(self, nand_file, capsys):
+        err = self._fails_cleanly(
+            self._argv("timing", nand_file, "--input", "mid=0"), capsys)
+        assert "input 'mid' is not a primary input" in err
+
+    def test_sweeping_an_internal_node_names_the_vector(self, capsys):
+        # Under --delta this vector used to report mid rising at 0 s and
+        # under --no-delta at its computed arrival.
+        err = self._fails_cleanly(
+            ["sweep", str(EXAMPLES / "nand2.sim"), "--tech", "cmos3",
+             "--no-characterize", "--sweep", "mid=1n,0", "--input", "a=0",
+             "--input", "b=0", "--watch", "mid", "--no-critical-path"],
+            capsys)
+        assert "vector 'mid=1e-09'" in err
+        assert "input 'mid' is not a primary input" in err
+
     def test_random_zero_reports_sample_size(self, nand_file, capsys):
         err = self._fails_cleanly(
             ["sweep", nand_file, "--tech", "cmos3", "--no-characterize",

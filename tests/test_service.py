@@ -135,6 +135,8 @@ class TestProtocol:
         ({"slope_quantum": float("inf")}, "slope_quantum"),
         ({"slope_quantum": float("nan")}, "slope_quantum"),
         ({"vectors": [{"inputs": {"a": "1e400"}}]}, "inputs['a']"),
+        ({"vectors": [{"inputs": {"a": "0", " a": "5n", "b": "0"}}]},
+         "vectors[0].inputs: duplicate node 'a' in vector 'v0'"),
     ])
     def test_validation_errors(self, mutation, needle):
         with pytest.raises(ServiceError) as info:
@@ -332,7 +334,14 @@ class TestServiceEndToEnd:
         ("inputs['a']", '"vectors": [{"inputs": {"a": "1e400", "b": "0"}}]'),
         ("input 'a': negative slope",
          '"vectors": [{"inputs": {"a": "0/-2e-09", "b": "0"}}]'),
-    ], ids=["slope-quantum", "input-token", "negative-slope"])
+        ("input 'mid' is not a primary input",
+         '"vectors": [{"inputs": {"a": "0", "b": "0", "mid": "1n"}}]'),
+        ("vectors[0].inputs: duplicate node 'a' in vector 'v0'",
+         '"vectors": [{"inputs": {"a": "0", "a": "5n", "b": "0"}}]'),
+        ("request field 'characterize' given twice",
+         '"characterize": true, "vectors": [{"inputs": {"a": "0"}}]'),
+    ], ids=["slope-quantum", "input-token", "negative-slope",
+            "not-primary-input", "duplicate-json-key", "duplicate-field"])
     def test_overflowing_number_is_400(self, service, field, body):
         import http.client as http_client
         host, port = service.service.address

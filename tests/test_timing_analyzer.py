@@ -85,6 +85,16 @@ class TestInputSpecs:
         with pytest.raises(TimingError):
             analyze(inverter_chain(CMOS3, 1), {"in": 0.0, "vdd": 0.0})
 
+    def test_internal_node_as_input_rejected(self):
+        # A re-seeded internal node is outside its own dirty cone, so a
+        # delta run would keep the seed where a full run recomputes it.
+        analyzer = TimingAnalyzer(inverter_chain(CMOS3, 2))
+        analyzer.analyze({"in": 0.0})
+        for run in (analyzer.analyze, analyzer.analyze_delta):
+            with pytest.raises(TimingError,
+                               match="input 'n1' is not a primary input"):
+                run({"in": 0.0, "n1": 1e-9})
+
     def test_side_input_without_events(self):
         result = analyze(nand_gate(CMOS3, 2), {
             "a0": 0.0,
