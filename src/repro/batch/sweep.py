@@ -158,7 +158,6 @@ def run_sweep(network: Network,
               slope_quantum: float = 0.0,
               watch: Optional[List[str]] = None,
               analyzer: Optional[TimingAnalyzer] = None,
-              kernel: str = "numpy",
               delta: bool = False,
               order: str = "given") -> SweepResult:
     """Run every vector of *source* through one shared analyzer.
@@ -181,8 +180,7 @@ def run_sweep(network: Network,
     if analyzer is None:
         analyzer = TimingAnalyzer(network, model=model, states=states,
                                   initial_states=initial_states,
-                                  slope_quantum=slope_quantum,
-                                  kernel=kernel)
+                                  slope_quantum=slope_quantum)
     sweep = SweepResult(network=analyzer.network,
                         model_name=analyzer.model.name, watch=watch)
     vectors = list(source)

@@ -362,8 +362,8 @@ class DeltaSweepRow:
 
 def delta_sweep_comparison(network: Network,
                            vectors: Sequence[Mapping[str, object]],
-                           model: Optional[DelayModel] = None,
-                           kernel: str = "numpy") -> DeltaSweepRow:
+                           model: Optional[DelayModel] = None
+                           ) -> DeltaSweepRow:
     """Measure ``analyze_many(delta=True)`` against the full batch.
 
     Both sides share one warm analyzer apiece and see the vectors in the
@@ -372,12 +372,12 @@ def delta_sweep_comparison(network: Network,
     Per-scenario arrivals are compared event by event (times, slopes,
     causal links) and any difference clears ``identical``.
     """
-    full_analyzer = TimingAnalyzer(network, model=model, kernel=kernel)
+    full_analyzer = TimingAnalyzer(network, model=model)
     start = time.perf_counter()
     full_results = full_analyzer.analyze_many(vectors)
     full_seconds = time.perf_counter() - start
 
-    delta_analyzer = TimingAnalyzer(network, model=model, kernel=kernel)
+    delta_analyzer = TimingAnalyzer(network, model=model)
     start = time.perf_counter()
     delta_results = delta_analyzer.analyze_many(vectors, delta=True)
     delta_seconds = time.perf_counter() - start
@@ -476,8 +476,8 @@ class TraceOverheadRow:
 
 def trace_overhead_comparison(network: Network,
                               vectors: Sequence[Mapping[str, object]],
-                              model: Optional[DelayModel] = None,
-                              kernel: str = "numpy") -> TraceOverheadRow:
+                              model: Optional[DelayModel] = None
+                              ) -> TraceOverheadRow:
     """Measure one workload untraced, traced, and per-site.
 
     Both runs use a fresh analyzer apiece over the same vectors, so the
@@ -491,13 +491,13 @@ def trace_overhead_comparison(network: Network,
     assert trace_spans.current() is None, \
         "trace_overhead_comparison needs tracing off at entry"
 
-    off_analyzer = TimingAnalyzer(network, model=model, kernel=kernel)
+    off_analyzer = TimingAnalyzer(network, model=model)
     start = time.perf_counter()
     off_analyzer.analyze_many(vectors)
     off_seconds = time.perf_counter() - start
 
     tracer = trace_spans.Tracer()
-    on_analyzer = TimingAnalyzer(network, model=model, kernel=kernel)
+    on_analyzer = TimingAnalyzer(network, model=model)
     with trace_spans.activate(tracer):
         start = time.perf_counter()
         on_analyzer.analyze_many(vectors)

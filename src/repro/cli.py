@@ -207,8 +207,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
     model = MODELS[args.model]()
     inputs = _input_specs(args, slope)
     analyzer = TimingAnalyzer(network, model=model,
-                              slope_quantum=args.slope_quantum,
-                              kernel=args.kernel)
+                              slope_quantum=args.slope_quantum)
     result = None
     try:
         with _traced_run(args):
@@ -290,8 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     model = MODELS[args.model]()
     source = _sweep_source(args, network, slope)
     analyzer = TimingAnalyzer(network, model=model,
-                              slope_quantum=args.slope_quantum,
-                              kernel=args.kernel)
+                              slope_quantum=args.slope_quantum)
     sweep = None
     try:
         with _traced_run(args):
@@ -325,8 +323,8 @@ def cmd_hazards(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .perf import PerfCounters
-    from .verify import (ConformanceConfig, ConformanceRunner, check_case,
-                         format_verify_report, load_reproducer, parse_modes)
+    from .verify import (ConformanceConfig, ConformanceRunner,
+                         format_verify_report, parse_modes, replay_reproducer)
 
     tech = _tech(args.tech, characterized=False)
     perf = PerfCounters()
@@ -334,9 +332,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with _traced_run(args):
             if args.replay:
-                case, modes, model_name, manifest = load_reproducer(
-                    args.replay, tech)
-                findings = check_case(case, modes, model_name, perf)
+                case, findings, manifest = replay_reproducer(
+                    args.replay, tech, perf)
                 expected = len(manifest.get("discrepancies", []))
                 print(f"replay {case.name}: {len(findings)} "
                       f"discrepancy(ies) (manifest recorded {expected})")
@@ -479,11 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="relative slope quantization for the delay-model "
                         "memo cache (e.g. 0.05; default 0 = exact)")
-    p.add_argument("--kernel", default="numpy",
-                   choices=("numpy", "python"),
-                   help="RC-tree delay kernel: vectorized tree templates "
-                        "(numpy, default) or the scalar dict-tree "
-                        "reference (python); results agree to 1e-9")
     add_tracing(p)
     p.set_defaults(func=cmd_timing)
 
@@ -523,11 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="relative slope quantization for the delay-model "
                         "memo cache (e.g. 0.05; default 0 = exact)")
-    p.add_argument("--kernel", default="numpy",
-                   choices=("numpy", "python"),
-                   help="RC-tree delay kernel: vectorized tree templates "
-                        "(numpy, default) or the scalar dict-tree "
-                        "reference (python); results agree to 1e-9")
     p.add_argument("--delta", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="dirty-cone delta re-analysis between consecutive "
@@ -568,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", type=int, default=4, metavar="N",
                    help="input vectors per case (default 4)")
     p.add_argument("--model", default="rc-tree", choices=sorted(MODELS),
-                   help="delay model under test (default rc-tree — the "
-                        "only model with distinct kernel backends)")
+                   help="delay model under test (default rc-tree)")
     p.add_argument("--no-invariants", action="store_true",
                    help="skip the metamorphic invariant checks")
     p.add_argument("--no-shrink", action="store_true",

@@ -23,11 +23,10 @@ machinery in :mod:`repro.core.timing.paths`), and answered as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ...errors import TimingError
-from ...rctree import RCTree, TimeConstants, TreeTemplate
-from ...rctree import time_constants as _scalar_time_constants
+from ...rctree import TimeConstants, TreeTemplate
 from ...tech import DeviceKind, Technology, Transition
 
 
@@ -37,21 +36,15 @@ class StageRequest:
 
     Attributes
     ----------
-    tree:
-        RC tree of the switching path: rooted at the source (the rail or
-        the driven input), edges carry *static* effective resistances for
-        the requested transition, nodes carry the capacitance they must
-        (dis)charge.  Side branches reachable through conducting devices
-        are included — their capacitance loads the path.  ``None`` when
-        the request carries a compiled ``template`` instead (the
-        vectorized-kernel path builds no dict trees at all).
     template:
-        Optional compiled :class:`~repro.rctree.TreeTemplate` of the same
-        structure.  When present, the accessor methods below
-        (:meth:`stage_constants`, :meth:`path_resistance`,
-        :meth:`total_capacitance`) answer from the template's memoized
-        vectorized-kernel results; models written against those
-        accessors are kernel-agnostic.
+        Compiled :class:`~repro.rctree.TreeTemplate` of the switching
+        path's RC tree: rooted at the source (the rail or the driven
+        input), edges carry *static* effective resistances for the
+        requested transition, nodes carry the capacitance they must
+        (dis)charge.  Side branches reachable through conducting devices
+        are included — their capacitance loads the path.  The accessor
+        methods below answer from the template's memoized kernel
+        results.
     target:
         The output node whose crossing is asked about.
     transition:
@@ -67,57 +60,32 @@ class StageRequest:
         The technology (supplies static resistances and slope tables).
     """
 
-    tree: Optional[RCTree]
+    template: TreeTemplate
     target: str
     transition: Transition
     trigger_kind: DeviceKind
     input_slope: float
     tech: Technology
-    template: Optional[TreeTemplate] = None
 
     def __post_init__(self) -> None:
         if self.input_slope < 0:
             raise TimingError(f"negative input slope {self.input_slope!r}")
-        if self.tree is None and self.template is None:
-            raise TimingError(
-                "stage request needs an RC tree or a compiled template"
-            )
-        holder = self.tree if self.tree is not None else self.template
-        if not holder.contains(self.target):
+        if not self.template.contains(self.target):
             raise TimingError(
                 f"target {self.target!r} is not in the request's RC tree"
             )
 
-    # -- kernel-agnostic accessors --------------------------------------
-    #
-    # Models that only need the classic RC quantities should go through
-    # these: with a template they are memoized vectorized-kernel lookups,
-    # with a dict tree they fall back to the scalar reference.
-
-    def stage_tree(self) -> RCTree:
-        """The dict-based tree (materialized from the template if the
-        request carries none — for consumers needing the full API)."""
-        if self.tree is not None:
-            return self.tree
-        return self.template.to_rctree()
-
     def stage_constants(self) -> TimeConstants:
         """RPH time constants of the target node."""
-        if self.template is not None:
-            return self.template.constants_for(self.target)
-        return _scalar_time_constants(self.tree, self.target)
+        return self.template.constants_for(self.target)
 
     def path_resistance(self) -> float:
         """``R_ii`` from the source down to the target."""
-        if self.template is not None:
-            return self.template.path_resistance(self.target)
-        return self.tree.path_resistance(self.target)
+        return self.template.path_resistance(self.target)
 
     def total_capacitance(self) -> float:
         """All capacitance hanging off the stage's tree."""
-        if self.template is not None:
-            return self.template.total_cap()
-        return self.tree.total_cap()
+        return self.template.total_cap()
 
 
 @dataclass(frozen=True)
@@ -164,9 +132,9 @@ class DelayModel:
 
         The analyzer's candidate loop hands every memo miss of a stage
         visit over in one call, so a model can amortize shared work
-        across the batch; template-carrying requests already share the
-        per-stage vectorized-kernel results, so the default sequential
-        loop is the right implementation for all built-in models.
+        across the batch; requests on one template already share its
+        memoized kernel results, so the default sequential loop is the
+        right implementation for all built-in models.
         """
         return [self.evaluate(request) for request in requests]
 

@@ -17,23 +17,8 @@ switches to the bracket midpoint for studies of the raw bounds.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...rctree import delay_bounds_from_constants
 from .base import DelayModel, StageDelay, StageRequest, default_step_slope_factor
-
-#: Injected-bug hook for the conformance subsystem's self-test
-#: (``tests/test_verify_conformance.py``): when set, delays computed on
-#: the compiled-template path (the numpy kernel) are scaled by this
-#: factor, so the two kernels disagree and ``repro verify`` must catch
-#: and shrink the divergence.  Production code never sets it.
-_TEMPLATE_DELAY_SCALE: Optional[float] = None
-
-
-def set_template_delay_scale(scale: Optional[float]) -> None:
-    """Install (``float``) or clear (``None``) the injected-bug hook."""
-    global _TEMPLATE_DELAY_SCALE
-    _TEMPLATE_DELAY_SCALE = None if scale is None else float(scale)
 
 
 class RCTreeModel(DelayModel):
@@ -55,8 +40,6 @@ class RCTreeModel(DelayModel):
             delay = bounds.midpoint()
         else:
             delay = constants.t_d
-        if _TEMPLATE_DELAY_SCALE is not None and request.template is not None:
-            delay *= _TEMPLATE_DELAY_SCALE
         slope = default_step_slope_factor() * max(constants.t_d, 1e-30)
         return StageDelay(
             delay=delay,

@@ -4,8 +4,6 @@ from .paths import (
     PathElement,
     SensitizedPath,
     Trigger,
-    build_request,
-    build_tree,
     effective_node_cap,
     enumerate_paths,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "PathElement",
     "SensitizedPath",
     "Trigger",
-    "build_request",
-    "build_tree",
     "effective_node_cap",
     "enumerate_paths",
     "StageGraph",

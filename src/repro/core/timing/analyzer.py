@@ -58,7 +58,7 @@ from ...errors import TimingError
 from ...netlist import Network
 from ...netlist.stages import Stage
 from ...perf import PerfCounters
-from ...rctree import RCTree, TreeTemplate, kernel_available
+from ...rctree import TreeTemplate
 from ...switchlevel import Logic
 from ...tech import DeviceKind, Transition
 from ...trace.spans import (
@@ -73,7 +73,6 @@ from .paths import (
     StageCaches,
     StateMap,
     Trigger,
-    build_tree,
     compile_template,
     enumerate_paths,
 )
@@ -315,27 +314,19 @@ class TimingAnalyzer:
         results stay deterministic regardless of evaluation order.  The
         default ``0.0`` disables quantization — every distinct slope gets
         its own cache line and results are exact.
-    kernel:
-        ``"numpy"`` (default) compiles each distinct (stage, path, order)
-        tree into a reusable :class:`~repro.rctree.TreeTemplate` and
-        answers delay-model questions through the vectorized RPH kernel —
-        all of a stage's time constants come out of one array pass, and
-        repeat candidates are template cache hits instead of dict-tree
-        rebuilds.  ``"python"`` keeps the original per-node scalar
-        recurrences on dict-based :class:`~repro.rctree.RCTree` objects —
-        the differential reference.  Both kernels agree to 1e-9 relative
-        (``tests/test_kernel_differential.py``); if numpy is not
-        importable the analyzer silently falls back to ``"python"``.
 
     Caching and invalidation
     ------------------------
-    Path enumerations, RC trees, compiled tree templates, the candidate
-    tables, and the delay-model memo are all keyed on state that is
-    fixed at construction time (network topology, ``states``, the model,
-    the technology), so they live for the analyzer's lifetime and are
-    shared across ``analyze()`` calls — a second run of the same scenario
-    is almost entirely cache hits.  If the network, technology tables, or
-    model are mutated in place, call :meth:`invalidate_caches`.
+    Path enumerations, compiled tree templates (one
+    :class:`~repro.rctree.TreeTemplate` per distinct (stage, path, order),
+    whose O(N) kernel yields all of a stage's time constants in one
+    pass), the candidate tables, and the delay-model memo are all keyed
+    on state that is fixed at construction time (network topology,
+    ``states``, the model, the technology), so they live for the
+    analyzer's lifetime and are shared across ``analyze()`` calls — a
+    second run of the same scenario is almost entirely cache hits.  If
+    the network, technology tables, or model are mutated in place, call
+    :meth:`invalidate_caches`.
     """
 
     #: Re-evaluations of one stage before declaring a timing loop.  Deep
@@ -348,8 +339,7 @@ class TimingAnalyzer:
                  states: Optional[StateMap] = None,
                  initial_states: Optional[StateMap] = None,
                  incremental: bool = True,
-                 slope_quantum: float = 0.0,
-                 kernel: str = "numpy"):
+                 slope_quantum: float = 0.0):
         self.network = network
         self.model = model if model is not None else SlopeModel()
         self.states = states
@@ -359,30 +349,20 @@ class TimingAnalyzer:
             raise TimingError("slope quantum must be finite and "
                               f"non-negative, got {slope_quantum!r}")
         self.slope_quantum = float(slope_quantum)
-        if kernel not in ("numpy", "python"):
-            raise TimingError(
-                f"unknown kernel {kernel!r} (expected 'numpy' or 'python')")
-        if kernel == "numpy" and not kernel_available():
-            kernel = "python"
-        self.kernel = kernel
         #: cumulative counters over every ``analyze()`` of this instance
         self.perf = PerfCounters()
         self._run_perf: Optional[PerfCounters] = None
         with self.perf.timer("stage_graph_build"):
             self.graph = StageGraph.build(network)
         # Per-(representative stage, node, transition) path cache and
-        # per-path tree cache.
+        # per-path compiled tree templates (representative stages only).
         self._paths: Dict[Tuple[int, str, Transition],
                           List[SensitizedPath]] = {}
-        self._trees: Dict[Tuple[int, str, Transition, int], RCTree] = {}
-        # Compiled tree templates, same key as the dict-tree cache; which
-        # one a kernel fills is an either/or (``self.kernel``).  Both hold
-        # representative stages only.
         self._templates: Dict[Tuple[int, str, Transition, int],
                               TreeTemplate] = {}
         # Per-stage derived-structure caches (adjacencies, pair index,
         # reachability, merged edge resistances) shared by every path
-        # enumeration and tree/template build of the stage.
+        # enumeration and template compile of the stage.
         self._stage_caches: Dict[int, StageCaches] = {}
         # Structural sharing (repro.core.timing.stage_iso): the lowest-
         # index stage of each canonical signature is its representative
@@ -418,13 +398,12 @@ class TimingAnalyzer:
     # ------------------------------------------------------------------
 
     def invalidate_caches(self) -> None:
-        """Drop every derived cache (paths, RC trees, candidate tables,
+        """Drop every derived cache (paths, templates, candidate tables,
         memoized stage delays) and rebuild the stage graph.  Call after
         mutating the network (device geometry, added loads, added
         devices), the technology tables, or the model in place — a stale
         analyzer silently reuses delays computed for the old circuit."""
         self._paths.clear()
-        self._trees.clear()
         self._templates.clear()
         self._stage_caches.clear()
         self._stage_iso.clear()
@@ -437,6 +416,10 @@ class TimingAnalyzer:
         self._carryover = None
         with self.perf.timer("stage_graph_build"):
             self.graph = StageGraph.build(self.network)
+
+    def compiled_templates(self) -> List[TreeTemplate]:
+        """Every RC-tree template compiled so far, in compile order."""
+        return list(self._templates.values())
 
     def reset_run_state(self) -> None:
         """Clear per-run state without touching analyzer-lifetime caches.
@@ -614,7 +597,7 @@ class TimingAnalyzer:
         """Analyze a batch of input scenarios against this one analyzer.
 
         Every scenario runs with the same analyzer-lifetime caches (path
-        enumerations, RC trees, candidate tables, the delay-model memo), so
+        enumerations, templates, candidate tables, the delay-model memo), so
         after the first scenario pays the setup cost the marginal model
         evaluations per scenario approach zero — the sweep amortization
         the ROADMAP's multi-scenario batching item asks for (DESIGN.md
@@ -841,18 +824,6 @@ class TimingAnalyzer:
             caches = self._stage_caches[stage.index] = StageCaches()
         return caches
 
-    def _tree_for(self, stage: Stage, path: SensitizedPath,
-                  order: int) -> RCTree:
-        key = (stage.index, path.target, path.transition, order)
-        tree = self._trees.get(key)
-        if tree is None:
-            self._count("tree_builds")
-            tree = build_tree(self.network, stage, path, states=self.states,
-                              caches=self._caches_for(stage),
-                              cap_cache=self._node_caps)
-            self._trees[key] = tree
-        return tree
-
     def _template_for(self, stage: Stage, path: SensitizedPath,
                       order: int) -> TreeTemplate:
         key = (stage.index, path.target, path.transition, order)
@@ -928,20 +899,15 @@ class TimingAnalyzer:
 
     def _request_for(self, memo: int, slope: float) -> StageRequest:
         """The delay-model question for one memo miss, asked against the
-        representative's compiled template (numpy kernel) or dict tree
-        (python kernel)."""
+        representative's compiled template."""
         rep, path, order, kind = self._memo_requests[memo]
-        template = (self._template_for(rep, path, order)
-                    if self.kernel == "numpy" else None)
         return StageRequest(
-            tree=(None if template is not None
-                  else self._tree_for(rep, path, order)),
+            template=self._template_for(rep, path, order),
             target=path.target,
             transition=path.transition,
             trigger_kind=kind,
             input_slope=slope,
             tech=self.network.tech,
-            template=template,
         )
 
     def _best_candidate(self, stage_index: int, table: _Candidates,
@@ -984,12 +950,11 @@ class TimingAnalyzer:
                         for memo, slope in misses]
             self._count("model_cache_misses", len(requests))
             self._count("model_evals", len(requests))
-            if self.kernel == "numpy":
-                self._count("kernel_batches")
-                self._count("kernel_nodes",
-                            sum(len(r.template) for r in requests))
+            self._count("kernel_batches")
+            self._count("kernel_nodes",
+                        sum(len(r.template) for r in requests))
             with _trace_span("kernel_batch", stage=stage_index,
-                             requests=len(requests), kernel=self.kernel):
+                             requests=len(requests)):
                 cache.update(zip(misses, self.model.evaluate_many(requests)))
 
         # Winner selection on raw (time, rank): ranks ascend, so a later

@@ -19,9 +19,9 @@ Sensitization consults a node-state map (usually from the switch-level
 simulator); unknown (X) states are treated permissively, which reproduces
 Crystal's pessimistic default.
 
-The module also converts a (path, trigger) pair into the
-:class:`~repro.core.models.base.StageRequest` the delay models consume,
-building the RC tree of the path plus its conducting side branches.
+The module also compiles the RC tree of a path plus its conducting side
+branches into the :class:`~repro.rctree.TreeTemplate` that the delay
+models' :class:`~repro.core.models.base.StageRequest` carries.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from ...errors import TimingError
 from ...netlist import GND, VDD, Network
 from ...netlist.stages import Stage
 from ...netlist.transistor import Resistor, Transistor
-from ...rctree import RCTree, TreeTemplate
+from ...rctree import TreeTemplate
 from ...switchlevel import Logic
 from ...tech import DeviceKind, Technology, Transition
-from ..models.base import StageRequest
 
 #: Safety valve against combinatorial path blowup inside one stage.
 MAX_PATHS_PER_NODE = 512
@@ -176,13 +175,13 @@ class StageCaches:
 
     Everything here is a pure function of the stage's device list and the
     sensitization states, so one instance can be shared by every path
-    enumeration and tree/template build of the stage — the analyzer keeps
+    enumeration and template compile of the stage — the analyzer keeps
     one per stage for its lifetime.  One-shot callers simply omit it and
     each call builds what it needs privately.
     """
 
     __slots__ = ("_pair_index", "_conducting", "_branch", "reach",
-                 "edge_resistance", "driven", "bridges", "edge_groups")
+                 "edge_resistance", "driven", "bridges")
 
     def __init__(self) -> None:
         self._pair_index = None
@@ -197,9 +196,6 @@ class StageCaches:
         #: (device name, target, transition) -> does turning the device
         #: off release the target (see ``_bridges_opposition``)
         self.bridges: Dict[Tuple[str, str, Transition], bool] = {}
-        #: element name -> its parallel-merge element group (the merge
-        #: set is fixed per stage, each element spans one node pair)
-        self.edge_groups: Dict[str, Tuple[Element, ...]] = {}
 
     def pair_index(self, stage: Stage, states: Optional[StateMap]
                    ) -> Dict[FrozenSet[str], List[Element]]:
@@ -529,35 +525,6 @@ def _merged_edge_resistance(network: Network, element: Element,
     return resistance
 
 
-@dataclass
-class TreeStructure:
-    """The flattened output of one tree traversal, consumed by both the
-    dict-tree builder and the template compiler.
-
-    Arrays are node-parallel, root first in insertion order (parents
-    precede children).  ``elements[i]`` is the parallel-merged element
-    group producing ``r[i]`` — the template's re-stamping source.
-    """
-
-    names: List[str]
-    parent: List[int]
-    r: List[float]
-    c: List[float]
-    cap_mask: List[bool]
-    elements: List[Tuple[Element, ...]]
-
-
-def _edge_group(element: Element, a: str, b: str,
-                pair_index: Dict[FrozenSet[str], List[Element]]
-                ) -> Tuple[Element, ...]:
-    """The element plus every other conductor across the same node pair,
-    in :func:`_merged_edge_resistance`'s merge order."""
-    name = getattr(element, "name", None)
-    others = tuple(other for other in pair_index.get(frozenset((a, b)), ())
-                   if other.name != name)
-    return (element,) + others
-
-
 def _branch_adjacency(stage: Stage, states: Optional[StateMap]
                       ) -> Dict[str, List[Tuple[Element, str]]]:
     """Node -> [(element, neighbor)] over *statically* conducting elements
@@ -576,23 +543,26 @@ def _branch_adjacency(stage: Stage, states: Optional[StateMap]
     return adjacency
 
 
-def tree_structure(network: Network, stage: Stage, path: SensitizedPath,
-                   states: Optional[StateMap] = None,
-                   include_branches: bool = True,
-                   caches: Optional[StageCaches] = None,
-                   cap_cache: Optional[Dict[str, float]] = None
-                   ) -> TreeStructure:
-    """One traversal of the path's RC tree: trunk plus conducting side
-    branches, flattened to parallel arrays.  *caches* (a
-    :class:`StageCaches`) amortizes the per-stage element scans across
-    the stage's trees; *cap_cache* memoizes node capacitance lookups
-    network-wide."""
+def compile_template(network: Network, stage: Stage, path: SensitizedPath,
+                     states: Optional[StateMap] = None,
+                     include_branches: bool = True,
+                     caches: Optional[StageCaches] = None,
+                     cap_cache: Optional[Dict[str, float]] = None
+                     ) -> TreeTemplate:
+    """Compile the path's RC tree into a :class:`~repro.rctree.TreeTemplate`:
+    root at the source, the path as the trunk, and conducting side
+    branches (their capacitance loads the path), flattened root first.
+    *caches* (a :class:`StageCaches`) amortizes the per-stage element
+    scans across the stage's trees; *cap_cache* memoizes node
+    capacitance lookups network-wide."""
     if caches is None:
         caches = StageCaches()
     pair_index = caches.pair_index(stage, states)
     resistance_cache = caches.edge_resistance
-    structure = TreeStructure(names=[path.source], parent=[-1], r=[0.0],
-                              c=[0.0], cap_mask=[False], elements=[()])
+    names = [path.source]
+    parent = [-1]
+    r = [0.0]
+    c = [0.0]
     index = {path.source: 0}
 
     def node_cap(node: str) -> float:
@@ -603,116 +573,34 @@ def tree_structure(network: Network, stage: Stage, path: SensitizedPath,
             cap = cap_cache[node] = effective_node_cap(network, node)
         return cap
 
-    group_cache = caches.edge_groups
-
     def add(parent_name: str, node: str, element: Element) -> None:
-        structure.names.append(node)
-        structure.parent.append(index[parent_name])
-        index[node] = len(structure.names) - 1
-        structure.r.append(_merged_edge_resistance(
+        names.append(node)
+        parent.append(index[parent_name])
+        index[node] = len(names) - 1
+        r.append(_merged_edge_resistance(
             network, element, parent_name, node, path.transition,
             pair_index, resistance_cache))
-        group = group_cache.get(element.name)
-        if group is None:
-            group = group_cache[element.name] = _edge_group(
-                element, parent_name, node, pair_index)
-        structure.elements.append(group)
-        internal = node in stage.internal_nodes
-        structure.cap_mask.append(internal)
-        structure.c.append(node_cap(node) if internal else 0.0)
+        c.append(node_cap(node) if node in stage.internal_nodes else 0.0)
 
     for hop in path.elements:
         add(hop.from_node, hop.to_node, hop.element)
 
-    if not include_branches:
-        return structure
-
-    # Side branches: breadth-first from every path node through devices
-    # that conduct (statically), stopping at driven nodes and at nodes
-    # already in the tree (re-convergent structures are approximated by
-    # first-found attachment).
-    static_adjacency = caches.branch_adjacency(stage, states)
-
-    frontier = [n for n in path.nodes if n in stage.internal_nodes]
-    seen = set(structure.names)
-    while frontier:
-        node = frontier.pop()
-        for element, neighbor in static_adjacency.get(node, ()):
-            if neighbor in seen:
-                continue
-            if neighbor not in stage.internal_nodes:
-                continue  # a rail or driven node terminates the branch
-            add(node, neighbor, element)
-            seen.add(neighbor)
-            frontier.append(neighbor)
-    return structure
-
-
-def build_tree(network: Network, stage: Stage, path: SensitizedPath,
-               states: Optional[StateMap] = None,
-               include_branches: bool = True,
-               caches: Optional[StageCaches] = None,
-               cap_cache: Optional[Dict[str, float]] = None) -> RCTree:
-    """The RC tree for a path: root at the source, the path as the trunk,
-    and conducting side branches (their capacitance loads the path)."""
-    structure = tree_structure(network, stage, path, states=states,
-                               include_branches=include_branches,
-                               caches=caches, cap_cache=cap_cache)
-    tree = RCTree(structure.names[0])
-    for i in range(1, len(structure.names)):
-        tree.add_edge(structure.names[structure.parent[i]],
-                      structure.names[i], structure.r[i])
-        if structure.cap_mask[i]:
-            tree.add_cap(structure.names[i], structure.c[i])
-    return tree
-
-
-def compile_template(network: Network, stage: Stage, path: SensitizedPath,
-                     states: Optional[StateMap] = None,
-                     include_branches: bool = True,
-                     caches: Optional[StageCaches] = None,
-                     cap_cache: Optional[Dict[str, float]] = None
-                     ) -> TreeTemplate:
-    """Compile the path's RC tree straight into a reusable
-    :class:`~repro.rctree.TreeTemplate` — same traversal as
-    :func:`build_tree`, no intermediate dict tree.  The template keeps
-    its element groups, so :func:`restamp_template` can refresh values
-    after geometry/technology edits without recompiling."""
-    structure = tree_structure(network, stage, path, states=states,
-                               include_branches=include_branches,
-                               caches=caches, cap_cache=cap_cache)
-    return TreeTemplate(structure.names, structure.parent, structure.r,
-                        structure.c, transition=path.transition,
-                        edge_elements=tuple(structure.elements),
-                        cap_mask=structure.cap_mask)
-
-
-def restamp_template(network: Network, template: TreeTemplate) -> None:
-    """Refresh a compiled template's R/C values from the network's
-    current geometry and technology tables (preallocated arrays are
-    reused; structure is untouched)."""
-    tech = network.tech
-    transition = template.transition
-
-    def resistance_of(element: Element) -> float:
-        return _element_resistance(tech, element, transition)
-
-    def cap_of(node: str) -> float:
-        return effective_node_cap(network, node)
-
-    template.restamp(resistance_of, cap_of)
-
-
-def build_request(network: Network, stage: Stage, path: SensitizedPath,
-                  trigger: Trigger, input_slope: float,
-                  states: Optional[StateMap] = None) -> StageRequest:
-    """Assemble the delay-model question for one (path, trigger) pair."""
-    tree = build_tree(network, stage, path, states=states)
-    return StageRequest(
-        tree=tree,
-        target=path.target,
-        transition=path.transition,
-        trigger_kind=trigger.device_kind,
-        input_slope=input_slope,
-        tech=network.tech,
-    )
+    if include_branches:
+        # Side branches: breadth-first from every path node through
+        # devices that conduct (statically), stopping at driven nodes and
+        # at nodes already in the tree (re-convergent structures are
+        # approximated by first-found attachment).
+        static_adjacency = caches.branch_adjacency(stage, states)
+        frontier = [n for n in path.nodes if n in stage.internal_nodes]
+        seen = set(names)
+        while frontier:
+            node = frontier.pop()
+            for element, neighbor in static_adjacency.get(node, ()):
+                if neighbor in seen:
+                    continue
+                if neighbor not in stage.internal_nodes:
+                    continue  # a rail or driven node terminates the branch
+                add(node, neighbor, element)
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return TreeTemplate(names, parent, r, c)

@@ -34,11 +34,10 @@ STANDARD_COUNTERS: Dict[str, str] = {
     "model_cache_misses": "memo misses (same as model_evals when cold)",
     "arrival_updates": "arrival improvements committed",
     "path_enumerations": "per-(stage, node, transition) path enumerations",
-    "tree_builds": "RC trees constructed",
     "tree_template_misses": "tree templates compiled (first visit of a path)",
     "tree_template_hits": "compiled-template reuses by later candidates",
-    "kernel_batches": "vectorized-kernel evaluate_many() batches",
-    "kernel_nodes": "tree nodes covered by vectorized-kernel batches",
+    "kernel_batches": "kernel evaluate_many() batches",
+    "kernel_nodes": "tree nodes covered by kernel batches",
     "delta_scenarios": "scenarios analyzed by dirty-cone delta re-analysis",
     "input_delta": "changed primary inputs across delta scenarios (Hamming)",
     "cone_stages": "stages inside delta dirty cones (re-evaluated)",
@@ -47,7 +46,7 @@ STANDARD_COUNTERS: Dict[str, str] = {
     "verify_cases": "conformance cases generated and analyzed",
     "verify_mode_runs": "engine-mode sweep executions across all cases",
     "verify_comparisons": "mode-pair result comparisons performed",
-    "verify_discrepancies": "cross-mode discrepancies detected",
+    "verify_discrepancies": "discrepancies detected (mode pairs + invariants)",
     "verify_invariant_checks": "metamorphic invariant checks evaluated",
     "verify_invariant_failures": "metamorphic invariant violations",
     "verify_shrink_attempts": "shrinker candidate reductions tried",
@@ -220,7 +219,7 @@ class BatchPerf:
     @property
     def template_hit_rate(self) -> Optional[float]:
         """Compiled-template reuse fraction across the whole batch, or
-        None when the sweep never touched the vectorized kernel."""
+        None when the sweep compiled and reused no template."""
         total = self.total
         hits = total.get("tree_template_hits")
         misses = total.get("tree_template_misses")

@@ -29,8 +29,8 @@ class TimeConstants:
     def __post_init__(self) -> None:
         # Allow tiny numerical slack in the defining inequalities.  The
         # slack scales with T_D as well as T_P: the binding comparison
-        # T_R <= T_D happens at T_D's magnitude, and the vectorized
-        # kernel's reassociated sums can land a large-fanout tree within
+        # T_R <= T_D happens at T_D's magnitude, and the O(N) kernel's
+        # reassociated sums can land a large-fanout tree within
         # rounding of that boundary even when T_P alone would suggest a
         # tighter tolerance.
         slack = 1e-12 + 1e-9 * (abs(self.t_p) + abs(self.t_d))

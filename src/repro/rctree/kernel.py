@@ -1,4 +1,4 @@
-"""Vectorized Penfield-Rubinstein-Horowitz kernel.
+"""O(N) Penfield-Rubinstein-Horowitz kernel.
 
 The scalar reference (:mod:`repro.rctree.elmore`) evaluates the RPH time
 constants with an O(N^2) double loop over ``shared_resistance`` pairs,
@@ -17,64 +17,38 @@ shared-resistance sums:
   summation over the branch capacitances grouped by their lowest common
   ancestor with k).
 
-Trees arrive as flat arrays (see :class:`~repro.rctree.template.TreeTemplate`):
+Trees arrive as flat lists (see :class:`~repro.rctree.template.TreeTemplate`):
 ``parent[i] < i`` (topological insertion order, ``parent[0] = -1``),
 ``r[i]`` the resistance of the edge above node ``i`` (``r[0] = 0``) and
-``c[i]`` the node capacitance.
-
-Two interchangeable backends implement the recurrences:
-
-* a numpy backend that sweeps the tree one depth level at a time, each
-  level a fancy-indexed vector operation (``np.add.at`` for the upward
-  capacitance pass) — the per-element cost is tiny, but each numpy call
-  carries fixed overhead, so it only wins on wider trees;
-* a plain-Python O(N) backend over lists for small trees, where numpy's
-  per-call overhead would exceed the whole computation.
-
-Both produce the same algebra; the differential tests drive each against
-the O(N^2) scalar reference.  The crossover is :data:`SMALL_TREE_CUTOFF`
-(force a backend with :func:`set_forced_backend` in tests).
+``c[i]`` the node capacitance.  Compiled stage trees have a handful of
+nodes, so three plain loops over lists are the whole implementation;
+``repro verify``'s kernel invariant checks every tree an analysis
+compiles against the O(N^2) reference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-try:  # numpy is an optional accelerator here; the scalar path is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-#: Below this many nodes the plain-Python backend is faster than paying
-#: numpy's per-call overhead a dozen times on near-empty arrays.
-SMALL_TREE_CUTOFF = 48
-
-#: test hook: None = size-based dispatch, "numpy" / "python" = forced
-_FORCED_BACKEND: Optional[str] = None
+#: Injected-bug hook for the conformance subsystem's self-test
+#: (``tests/test_verify_conformance.py``): when set, every computed T_P,
+#: T_D and T_R is scaled by this factor (together, so their ordering
+#: still holds), and ``repro verify``'s kernel invariant must catch and
+#: shrink the fault.  Production code never sets it.
+_CONSTANTS_SCALE: Optional[float] = None
 
 
-def kernel_available() -> bool:
-    """Is the vectorized kernel usable (numpy importable)?"""
-    return _np is not None
-
-
-def set_forced_backend(backend: Optional[str]) -> None:
-    """Force a backend (``"numpy"`` / ``"python"`` / ``None`` = auto).
-
-    Test hook so the differential suite exercises both implementations on
-    every tree size.
-    """
-    global _FORCED_BACKEND
-    if backend not in (None, "numpy", "python"):
-        raise ValueError(f"unknown kernel backend {backend!r}")
-    _FORCED_BACKEND = backend
+def set_constants_scale(scale: Optional[float]) -> None:
+    """Install (``float``) or clear (``None``) the injected-bug hook."""
+    global _CONSTANTS_SCALE
+    _CONSTANTS_SCALE = None if scale is None else float(scale)
 
 
 class StageConstants:
     """The RPH constants of one tree, for **all** nodes at once.
 
-    ``t_d``/``t_r``/``rpath`` are indexable sequences aligned with the
-    template's node order; ``t_p`` and ``c_total`` are tree-wide scalars.
+    ``t_d``/``t_r``/``rpath`` are lists aligned with the template's node
+    order; ``t_p`` and ``c_total`` are tree-wide scalars.
     """
 
     __slots__ = ("t_p", "t_d", "t_r", "rpath", "c_total")
@@ -89,51 +63,10 @@ class StageConstants:
         self.c_total = c_total
 
 
-def depth_levels(parent: Sequence[int]) -> List["_np.ndarray"]:
-    """Node indexes grouped by depth (root level first).
-
-    The numpy backend sweeps these groups: within one level every node's
-    parent lives in an earlier level, so a whole level updates in one
-    fancy-indexed operation.
-    """
-    n = len(parent)
-    depth = [0] * n
-    for i in range(1, n):
-        depth[i] = depth[parent[i]] + 1
-    buckets: List[List[int]] = [[] for _ in range(max(depth) + 1 if n else 1)]
-    for i, d in enumerate(depth):
-        buckets[d].append(i)
-    if _np is None:
-        return [list(b) for b in buckets]  # type: ignore[list-item]
-    return [_np.asarray(b, dtype=_np.int64) for b in buckets]
-
-
 def compute_stage_constants(parent: Sequence[int], r: Sequence[float],
-                            c: Sequence[float],
-                            levels: Optional[List] = None) -> StageConstants:
-    """All-node RPH constants for one tree in O(N).
-
-    *levels* (from :func:`depth_levels`) lets a caching caller amortize
-    the depth grouping; it is only consulted by the numpy backend.
-    """
+                            c: Sequence[float]) -> StageConstants:
+    """All-node RPH constants for one tree in O(N)."""
     n = len(parent)
-    backend = _FORCED_BACKEND
-    if backend is None:
-        backend = ("numpy" if _np is not None and n >= SMALL_TREE_CUTOFF
-                   else "python")
-    if backend == "numpy" and _np is not None:
-        return _constants_numpy(parent, r, c, levels)
-    return _constants_python(parent, r, c)
-
-
-def _constants_python(parent: Sequence[int], r: Sequence[float],
-                      c: Sequence[float]) -> StageConstants:
-    """O(N) list-based recurrences (fastest for small trees)."""
-    n = len(parent)
-    if hasattr(r, "tolist"):  # plain-list indexing beats ndarray scalars
-        r = r.tolist()
-    if hasattr(c, "tolist"):
-        c = c.tolist()
     rpath = [0.0] * n
     cdown = list(c)
     t_d = [0.0] * n
@@ -150,42 +83,9 @@ def _constants_python(parent: Sequence[int], r: Sequence[float],
         acc2[i] = acc2[p] + (rpath[i] * rpath[i]
                              - rpath[p] * rpath[p]) * cdown[i]
     t_r = [acc2[i] / rpath[i] if rpath[i] > 0.0 else 0.0 for i in range(n)]
+    if _CONSTANTS_SCALE is not None:
+        t_p *= _CONSTANTS_SCALE
+        t_d = [value * _CONSTANTS_SCALE for value in t_d]
+        t_r = [value * _CONSTANTS_SCALE for value in t_r]
     return StageConstants(t_p=t_p, t_d=t_d, t_r=t_r, rpath=rpath,
                           c_total=sum(c))
-
-
-def _constants_numpy(parent: Sequence[int], r: Sequence[float],
-                     c: Sequence[float],
-                     levels: Optional[List]) -> StageConstants:
-    """Level-swept numpy recurrences (fastest for wide trees)."""
-    parent = _np.asarray(parent, dtype=_np.int64)
-    r = _np.asarray(r, dtype=_np.float64)
-    c = _np.asarray(c, dtype=_np.float64)
-    if levels is None:
-        levels = depth_levels(parent)
-
-    # Downward pass 1: root->node path resistance.
-    rpath = r.copy()
-    for idx in levels[1:]:
-        rpath[idx] += rpath[parent[idx]]
-
-    # Upward pass: capacitance in the subtree below each edge.
-    cdown = c.copy()
-    for idx in reversed(levels[1:]):
-        _np.add.at(cdown, parent[idx], cdown[idx])
-
-    t_p = float(rpath @ c)
-
-    # Downward pass 2: both telescoped sums at once (stacked rows).
-    pe = _np.maximum(parent, 0)
-    inc = _np.empty((2, len(parent)))
-    inc[0] = r * cdown                                   # -> T_D
-    inc[1] = (rpath * rpath - rpath[pe] * rpath[pe]) * cdown  # -> T_R * R_kk
-    inc[:, 0] = 0.0
-    for idx in levels[1:]:
-        inc[:, idx] += inc[:, parent[idx]]
-
-    with _np.errstate(divide="ignore", invalid="ignore"):
-        t_r = _np.where(rpath > 0.0, inc[1] / rpath, 0.0)
-    return StageConstants(t_p=t_p, t_d=inc[0], t_r=t_r, rpath=rpath,
-                          c_total=float(c.sum()))

@@ -107,7 +107,7 @@ class ServiceClient:
 
     def analyze(self, netlist: str, vectors: Sequence[_VectorLike],
                 tech: str = "cmos3", model: str = "slope",
-                kernel: str = "numpy", slope_quantum: float = 0.0,
+                slope_quantum: float = 0.0,
                 characterize: bool = True) -> List[AnalyzedVector]:
         """Analyze *vectors* against *netlist* (``.sim`` text).
 
@@ -126,7 +126,7 @@ class ServiceClient:
                             "inputs": encode_inputs(inputs)})
         payload = {
             "netlist": netlist, "tech": tech, "model": model,
-            "kernel": kernel, "slope_quantum": slope_quantum,
+            "slope_quantum": slope_quantum,
             "characterize": characterize, "vectors": encoded,
         }
         decoded = self._checked("POST", "/analyze", payload)

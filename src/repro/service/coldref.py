@@ -32,8 +32,7 @@ def main() -> int:
         network = sim_format.loads(request.netlist, tech, name="coldref")
         analyzer = TimingAnalyzer(network,
                                   model=MODELS[request.model](),
-                                  slope_quantum=request.slope_quantum,
-                                  kernel=request.kernel)
+                                  slope_quantum=request.slope_quantum)
         results = [encode_result(vector.label, analyzer.analyze(vector.inputs))
                    for vector in request.vectors]
     except (ReproError, json.JSONDecodeError) as exc:

@@ -80,8 +80,7 @@ class AnalyzerPool:
                                    name=f"service:{key[:12]}")
         analyzer = TimingAnalyzer(network,
                                   model=MODELS[request.model](),
-                                  slope_quantum=request.slope_quantum,
-                                  kernel=request.kernel)
+                                  slope_quantum=request.slope_quantum)
         entry = PoolEntry(key, analyzer, network)
         self._entries[key] = entry
         while len(self._entries) > self.capacity:

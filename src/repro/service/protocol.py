@@ -5,7 +5,7 @@ One request analyzes a batch of input vectors against one netlist:
 .. code-block:: json
 
     {"netlist": "| adder\\ni a b\\n…",
-     "tech": "cmos3", "model": "slope", "kernel": "numpy",
+     "tech": "cmos3", "model": "slope",
      "slope_quantum": 0.0, "characterize": true,
      "vectors": [{"label": "v0",
                   "inputs": {"a": "0.0", "b": "1e-09~2e-09/5e-10"}}]}
@@ -30,8 +30,8 @@ to what the engine computed — the service smoke test and
 ``benchmarks/bench_service.py`` both assert equality, not approx.
 
 The pool key (:meth:`AnalyzeRequest.pool_key`) hashes everything that
-shapes the analyzer — netlist text, technology, model, kernel, slope
-quantum, characterization — but *not* the vectors: two requests that
+shapes the analyzer — netlist text, technology, model, slope quantum,
+characterization — but *not* the vectors: two requests that
 differ only in vectors share a warm analyzer and its caches.
 """
 
@@ -73,8 +73,6 @@ MODELS = {
     "slope": SlopeModel,
 }
 
-KERNELS = ("numpy", "python")
-
 _EDGES = {Transition.RISE: "rise", Transition.FALL: "fall"}
 
 
@@ -85,7 +83,6 @@ class AnalyzeRequest:
     netlist: str
     tech: str = "cmos3"
     model: str = "slope"
-    kernel: str = "numpy"
     slope_quantum: float = 0.0
     characterize: bool = True
     vectors: Tuple[Vector, ...] = field(default_factory=tuple)
@@ -96,7 +93,6 @@ class AnalyzeRequest:
             "netlist": self.netlist,
             "tech": self.tech,
             "model": self.model,
-            "kernel": self.kernel,
             "slope_quantum": self.slope_quantum,
             "characterize": self.characterize,
         }, sort_keys=True)
@@ -151,8 +147,8 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
     assert isinstance(payload, dict)
     repeated = _repeated_key(payload)
     _need(repeated is None, f"request field {repeated!r} given twice")
-    unknown = set(payload) - {"netlist", "tech", "model", "kernel",
-                              "slope_quantum", "characterize", "vectors"}
+    unknown = set(payload) - {"netlist", "tech", "model", "slope_quantum",
+                              "characterize", "vectors"}
     _need(not unknown,
           f"unknown request field(s): {', '.join(sorted(unknown))}")
 
@@ -167,9 +163,6 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
     model = payload.get("model", "slope")
     _need(model in MODELS,
           f"unknown model {model!r}; choose from {', '.join(sorted(MODELS))}")
-    kernel = payload.get("kernel", "numpy")
-    _need(kernel in KERNELS,
-          f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")
     quantum = payload.get("slope_quantum", 0.0)
     _need(isinstance(quantum, (int, float)) and not isinstance(quantum, bool)
           and math.isfinite(quantum) and quantum >= 0.0,
@@ -211,7 +204,7 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
         vectors.append(Vector(label=label, inputs=inputs))
 
     return AnalyzeRequest(
-        netlist=netlist, tech=tech, model=model, kernel=kernel,
+        netlist=netlist, tech=tech, model=model,
         slope_quantum=float(quantum), characterize=characterize,
         vectors=tuple(vectors))
 

@@ -11,9 +11,10 @@ A reproducer is three sibling files sharing the case name:
   the discrepancy records the case was failing with.
 
 ``repro verify --replay <case>.json`` reloads the pair through the stock
-parsers and re-runs exactly the implicated modes — the round trip is
-bit-exact because generated values live on integer grids and the dumpers
-print 12 significant digits.
+parsers and re-runs the implicated modes, plus the invariants when an
+invariant failed (:func:`repro.verify.runner.replay_reproducer`) — the
+round trip is bit-exact because generated values live on integer grids
+and the dumpers print 12 significant digits.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def load_reproducer(manifest_path: str, tech: Technology
     sim_path = os.path.join(base, manifest["sim"])
     vec_path = os.path.join(base, manifest["vec"])
     network = sim_format.load(sim_path, tech)
-    vectors = load_vector_file(vec_path)
+    vectors = list(load_vector_file(vec_path))
     clocks: Dict[str, str] = dict(manifest.get("clocks") or {})
     clocks = {node: phase for node, phase in clocks.items()
               if network.has_node(node)}

@@ -1,30 +1,19 @@
 """Discrepancy records and outcome comparison.
 
-The conformance contract is asymmetric in tightness:
-
-* ``rtol == 0`` — bit-identical: every arrival event present in one
-  outcome must be present in the other with ``==``-equal time and slope,
-  and the hazard / setup-check report strings must match byte-for-byte.
-  This is the contract between any mode and its matched reference
-  (same kernel, same slope quantum);
-* ``rtol > 0`` — numeric agreement within a relative tolerance, string
-  reports skipped (their fixed-precision formatting can legitimately
-  flip a digit at the tolerance boundary).  This is the cross-kernel
-  contract (numpy vs. python evaluate in different float orders).
+The conformance contract between any mode and its matched reference
+(same slope quantum) is bit-identity: every arrival event present in one
+outcome must be present in the other with ``==``-equal time and slope,
+and the hazard / setup-check report strings must match byte-for-byte.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from .modes import ModeOutcome
 
 __all__ = ["Discrepancy", "compare_outcomes"]
-
-#: Absolute floor under the relative comparisons (arrivals are ~1e-9 s).
-_ATOL = 1e-21
 
 
 @dataclass(frozen=True)
@@ -55,14 +44,8 @@ class Discrepancy:
                 f"{self.mode_a} vs {self.mode_b}: {self.detail}")
 
 
-def _close(a: float, b: float, rtol: float) -> bool:
-    if rtol <= 0.0:
-        return a == b
-    return math.isclose(a, b, rel_tol=rtol, abs_tol=_ATOL)
-
-
-def compare_outcomes(case_name: str, a: ModeOutcome, b: ModeOutcome,
-                     rtol: float = 0.0) -> List[Discrepancy]:
+def compare_outcomes(case_name: str, a: ModeOutcome,
+                     b: ModeOutcome) -> List[Discrepancy]:
     """All disagreements between two outcomes of the same case."""
     findings: List[Discrepancy] = []
     name_a, name_b = a.mode.name, b.mode.name
@@ -94,22 +77,20 @@ def compare_outcomes(case_name: str, a: ModeOutcome, b: ModeOutcome,
                                                  e.transition.value)):
             lhs, rhs = mine[event], theirs[event]
             tag = f"{event.node}:{event.transition.value}"
-            if not _close(lhs.time, rhs.time, rtol):
+            if lhs.time != rhs.time:
                 report("arrival-time", label=label, event=tag,
                        detail=f"{lhs.time!r} vs {rhs.time!r}")
-            if not _close(lhs.slope, rhs.slope, rtol):
+            if lhs.slope != rhs.slope:
                 report("arrival-slope", label=label, event=tag,
                        detail=f"{lhs.slope!r} vs {rhs.slope!r}")
 
-    if rtol <= 0.0:
-        if a.hazard_report != b.hazard_report:
-            report("hazard-report",
-                   detail="charge-sharing hazard reports differ")
-        if set(a.setup_reports) != set(b.setup_reports):
-            report("setup-report", detail="setup-check coverage differs")
-        else:
-            for label, text in a.setup_reports.items():
-                if b.setup_reports[label] != text:
-                    report("setup-report", label=label,
-                           detail="setup-check reports differ")
+    if a.hazard_report != b.hazard_report:
+        report("hazard-report", detail="charge-sharing hazard reports differ")
+    if set(a.setup_reports) != set(b.setup_reports):
+        report("setup-report", detail="setup-check coverage differs")
+    else:
+        for label, text in a.setup_reports.items():
+            if b.setup_reports[label] != text:
+                report("setup-report", label=label,
+                       detail="setup-check reports differ")
     return findings

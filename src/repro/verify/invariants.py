@@ -3,8 +3,15 @@
 Differential mode comparison catches engines disagreeing with each
 other; these checks catch the model disagreeing with *physics* — the
 orderings Ousterhout's RC formulation provably satisfies, checked on the
-generated case (and on standalone random RC trees):
+generated case (and on standalone random RC trees) — and the one RC-tree
+kernel disagreeing with its definition:
 
+* **kernel agreement** — every tree template the case's analysis
+  compiled yields, at every node, the T_P / T_D / T_R, path resistance
+  and total capacitance of the O(N^2) scalar reference
+  (:func:`repro.rctree.time_constants` on ``template.to_rctree()``) to
+  1e-9 relative.  Every engine mode shares the kernel, so the mode
+  matrix cannot see a kernel fault; this is its oracle;
 * **capacitance monotonicity** — adding grounded capacitance to any node
   can only delay arrivals.  Provable under :class:`RCTreeModel` (Elmore
   ``T_D`` is monotone in every node cap and the model ignores input
@@ -25,6 +32,7 @@ flow through the same shrink/emit pipeline as mode mismatches.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List
 
@@ -32,12 +40,13 @@ from ..core.models import RCTreeModel
 from ..core.timing import TimingAnalyzer
 from ..netlist import Network
 from ..perf import PerfCounters
-from ..rctree import RCTree, delay_bounds, kernel_available
+from ..rctree import RCTree, delay_bounds, exact_delay, time_constants
 from ..tech import Transition
 from .diff import Discrepancy
 from .generate import ConformanceCase
 
-__all__ = ["check_invariants", "check_tree_invariants"]
+__all__ = ["check_invariants", "check_kernel_invariant",
+           "check_tree_invariants"]
 
 #: Relative slack for "must not decrease/exceed" comparisons — matches
 #: the engine-wide tie-break epsilon.
@@ -46,6 +55,9 @@ _ABS = 1e-15
 
 _EXTRA_CAP = 25e-15
 _WIDEN_FACTOR = 2.0
+
+#: Kernel-vs-scalar tolerance: the two sum in different orders.
+_KERNEL_RTOL = 1e-9
 
 
 def _clone(network: Network) -> Network:
@@ -57,6 +69,42 @@ def _clone(network: Network) -> Network:
 def _arrivals(network: Network, inputs) -> dict:
     return TimingAnalyzer(network, model=RCTreeModel()).analyze(
         inputs).arrivals
+
+
+def check_kernel_invariant(case: ConformanceCase,
+                           perf: PerfCounters) -> List[Discrepancy]:
+    """The O(N) kernel against the O(N^2) scalar reference, on every
+    template an analysis of the case's vectors compiled."""
+    analyzer = TimingAnalyzer(case.network, model=RCTreeModel())
+    for vector in case.vectors:
+        analyzer.analyze(vector.inputs)
+    findings = []
+    for template in analyzer.compiled_templates():
+        perf.incr("verify_invariant_checks")
+        tree = template.to_rctree()
+        bad = []
+        for node in template.names:
+            got = template.constants_for(node)
+            want = time_constants(tree, node)
+            for name, a, b in (("T_P", got.t_p, want.t_p),
+                               ("T_D", got.t_d, want.t_d),
+                               ("T_R", got.t_r, want.t_r),
+                               ("R_path", template.path_resistance(node),
+                                tree.path_resistance(node)),
+                               ("C_total", template.total_cap(),
+                                tree.total_cap())):
+                if not math.isclose(a, b, rel_tol=_KERNEL_RTOL,
+                                    abs_tol=1e-30):
+                    bad.append((node, f"{name} {a!r} vs {b!r}"))
+        if bad:
+            node, first = bad[0]
+            findings.append(Discrepancy(
+                case_name=case.name, kind="invariant",
+                mode_a="kernel", mode_b="scalar",
+                event=f"{template.root}->{node}",
+                detail=(f"{len(bad)} value(s) of a {len(template)}-node "
+                        f"tree off the O(N^2) reference, first {first}")))
+    return findings
 
 
 def _check_cap_monotonicity(case: ConformanceCase, rng: random.Random,
@@ -162,15 +210,7 @@ def _random_tree(rng: random.Random, nodes: int) -> RCTree:
 def check_tree_invariants(seed: int, perf: PerfCounters,
                           case_name: str = "tree",
                           trees: int = 2) -> List[Discrepancy]:
-    """RPH bracketing + cap monotonicity on standalone random RC trees.
-
-    Needs the numpy-backed exact eigendecomposition oracle; silently
-    skipped when the vectorized kernel is unavailable.
-    """
-    if not kernel_available():  # pragma: no cover - numpy always in CI
-        return []
-    from ..rctree import exact_delay
-
+    """RPH bracketing + cap monotonicity on standalone random RC trees."""
     rng = random.Random(seed * 69_069 + 12_345)
     findings: List[Discrepancy] = []
     for _ in range(trees):
@@ -242,9 +282,11 @@ def check_invariants(case: ConformanceCase, seed: int,
                      perf: PerfCounters) -> List[Discrepancy]:
     """All model-level invariant checks for one case."""
     rng = random.Random(seed * 40_503 + 977)
-    findings = _check_cap_monotonicity(case, rng, perf)
+    findings = check_kernel_invariant(case, perf)
+    findings += _check_cap_monotonicity(case, rng, perf)
     findings += _check_resize_direction(case, rng, perf)
     findings += check_tree_invariants(seed, perf, case_name=case.name,
                                       trees=1)
     perf.incr("verify_invariant_failures", len(findings))
+    perf.incr("verify_discrepancies", len(findings))
     return findings

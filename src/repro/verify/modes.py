@@ -2,19 +2,17 @@
 
 An :class:`EngineMode` freezes one complete engine configuration —
 incremental vs. brute-force reference, dirty-cone delta re-analysis,
-analysis ordering, RC-tree kernel backend, slope quantization.
+analysis ordering, slope quantization.
 :func:`run_mode` executes one case under one mode through the stock
 sweep engine (so the conformance runner exercises exactly the code paths
 users hit) and reduces the result to a comparable :class:`ModeOutcome`.
 
-Comparability rules (who must agree with whom, and how tightly):
+Comparability rules (who must agree with whom):
 
-* modes sharing a ``(kernel, slope_quantum)`` pair must be
-  **bit-identical** to the brute-force reference of that pair
-  (``incremental=False``, no delta) — that is the repo-wide
-  equivalence contract of DESIGN.md §5b/§5e;
-* the two kernels' references agree only to 1e-9 relative (different
-  float evaluation order), mirroring ``tests/test_kernel_differential``;
+* modes sharing a ``slope_quantum`` must be **bit-identical** to the
+  brute-force reference of that quantum (``incremental=False``, no
+  delta) — that is the repo-wide equivalence contract of DESIGN.md
+  §5b/§5e;
 * quantized modes are compared only against their matched quantized
   reference — quantization legitimately changes results.
 """
@@ -51,14 +49,13 @@ class EngineMode:
     name: str
     incremental: bool = True
     delta: bool = False
-    kernel: str = "numpy"
     slope_quantum: float = 0.0
     order: str = "given"
 
     @property
-    def reference_key(self):
+    def reference_key(self) -> float:
         """Modes sharing this key must agree bit-for-bit."""
-        return (self.kernel, self.slope_quantum)
+        return self.slope_quantum
 
     @property
     def is_reference(self) -> bool:
@@ -68,15 +65,13 @@ class EngineMode:
 
     def reference(self) -> "EngineMode":
         """The matched brute-force baseline this mode must equal."""
-        return EngineMode(name=reference_name(self.kernel,
-                                              self.slope_quantum),
-                          incremental=False, kernel=self.kernel,
+        return EngineMode(name=reference_name(self.slope_quantum),
+                          incremental=False,
                           slope_quantum=self.slope_quantum)
 
 
-def reference_name(kernel: str, slope_quantum: float = 0.0) -> str:
-    suffix = f",q={slope_quantum:g}" if slope_quantum else ""
-    return f"reference[{kernel}{suffix}]"
+def reference_name(slope_quantum: float = 0.0) -> str:
+    return f"reference[q={slope_quantum:g}]" if slope_quantum else "reference"
 
 
 #: The stock matrix, in execution order.
@@ -86,7 +81,6 @@ MODES: Dict[str, EngineMode] = {
         EngineMode(name="incremental"),
         EngineMode(name="delta", delta=True),
         EngineMode(name="delta-greedy", delta=True, order="greedy"),
-        EngineMode(name="python", kernel="python"),
         EngineMode(name="quantized", slope_quantum=0.05),
     )
 }
@@ -100,21 +94,18 @@ def default_modes() -> List[EngineMode]:
 
 def mode_from_name(name: str) -> EngineMode:
     """Resolve a mode name — registry entries plus the derived
-    ``reference[kernel,q=…]`` baselines the runner synthesizes."""
+    ``reference[q=…]`` baselines the runner synthesizes."""
     mode = MODES.get(name)
     if mode is not None:
         return mode
-    if name.startswith("reference[") and name.endswith("]"):
-        body = name[len("reference["):-1]
-        kernel, _, quantum_text = body.partition(",q=")
-        if kernel in ("numpy", "python"):
-            try:
-                quantum = float(quantum_text) if quantum_text else 0.0
-            except ValueError:
-                quantum = None
-            if quantum is not None:
-                return EngineMode(name=name, incremental=False,
-                                  kernel=kernel, slope_quantum=quantum)
+    if name.startswith("reference[q=") and name.endswith("]"):
+        try:
+            quantum = float(name[len("reference[q="):-1])
+        except ValueError:
+            pass
+        else:
+            return EngineMode(name=name, incremental=False,
+                              slope_quantum=quantum)
     raise ReproError(
         f"unknown engine mode {name!r}; choose from "
         f"{', '.join(MODES)} (or 'all')")
@@ -158,8 +149,7 @@ def run_mode(case: ConformanceCase, mode: EngineMode,
     model = MODEL_FACTORIES[model_name]()
     analyzer = TimingAnalyzer(case.network, model=model,
                               incremental=mode.incremental,
-                              slope_quantum=mode.slope_quantum,
-                              kernel=mode.kernel)
+                              slope_quantum=mode.slope_quantum)
     sweep = run_sweep(case.network, ExplicitVectors(list(case.vectors)),
                       analyzer=analyzer, delta=mode.delta,
                       order=mode.order)

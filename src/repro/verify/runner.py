@@ -1,33 +1,29 @@
 """The conformance runner: generate → run matrix → compare → shrink → emit.
 
 :func:`check_case` encodes the comparability contract of
-:mod:`repro.verify.modes`:
-
-* every mode is compared **bit-identically** against the brute-force
-  serial reference sharing its ``(kernel, slope_quantum)`` pair — the
-  matched reference is synthesized on demand when the mode list does not
-  already contain it;
-* the exact (unquantized) references of the two kernels are additionally
-  compared against each other at 1e-9 relative tolerance, numeric
-  arrivals only — this is the cross-kernel check that catches a bug in
-  *one* backend (e.g. the injected template-scale mutation of
-  ``rc_tree_model.set_template_delay_scale``).
+:mod:`repro.verify.modes`: every mode is compared **bit-identically**
+against the brute-force serial reference sharing its slope quantum — the
+matched reference is synthesized on demand when the mode list does not
+already contain it.
 
 :class:`ConformanceRunner` drives the case stream, layers the
-metamorphic invariants on top, and on failure delta-debugs the case to a
-minimal reproducer (re-running only the implicated modes) and emits the
-``.sim``/``.vec``/manifest triple.
+invariants of :mod:`repro.verify.invariants` on top (among them the
+kernel invariant, the only check that sees a fault every mode shares,
+such as the injected ``kernel.set_constants_scale`` mutation), and on
+failure delta-debugs the case to a minimal reproducer (re-running only
+what the discrepancies implicate) and emits the ``.sim``/``.vec``/
+manifest triple, which :func:`replay_reproducer` re-runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..perf import PerfCounters
 from ..tech import Technology
-from .artifacts import emit_reproducer
+from .artifacts import emit_reproducer, load_reproducer
 from .diff import Discrepancy, compare_outcomes
 from .generate import ConformanceCase, generate_case
 from .invariants import check_invariants
@@ -36,10 +32,8 @@ from .modes import (EngineMode, ModeOutcome, default_modes, mode_from_name,
 from .shrink import shrink_case
 
 __all__ = ["ConformanceConfig", "CaseFailure", "ConformanceReport",
-           "ConformanceRunner", "check_case", "format_verify_report"]
-
-#: Cross-kernel agreement tolerance (mirrors tests/test_kernel_differential).
-CROSS_KERNEL_RTOL = 1e-9
+           "ConformanceRunner", "check_case", "format_verify_report",
+           "replay_reproducer"]
 
 
 @dataclass
@@ -91,7 +85,7 @@ def check_case(case: ConformanceCase, modes: Sequence[EngineMode],
                model_name: str, perf: PerfCounters) -> List[Discrepancy]:
     """Run *case* under every mode and return all discrepancies."""
     outcomes: Dict[str, ModeOutcome] = {}
-    baselines: Dict[tuple, ModeOutcome] = {}
+    baselines: Dict[float, ModeOutcome] = {}
 
     def run(mode: EngineMode) -> ModeOutcome:
         outcome = outcomes.get(mode.name)
@@ -105,8 +99,7 @@ def check_case(case: ConformanceCase, modes: Sequence[EngineMode],
 
     findings: List[Discrepancy] = []
     # First pass registers every explicit reference mode as a baseline so
-    # the stock "reference" entry is the numpy baseline rather than a
-    # synthesized twin.
+    # a listed reference is used rather than a synthesized twin.
     for mode in modes:
         if mode.is_reference:
             run(mode)
@@ -118,18 +111,25 @@ def check_case(case: ConformanceCase, modes: Sequence[EngineMode],
         if baseline is None:
             baseline = run(mode.reference())
         perf.incr("verify_comparisons")
-        findings += compare_outcomes(case.name, baseline, outcome, rtol=0.0)
-
-    # Cross-kernel agreement of the exact references, when both exist.
-    exact = {key[0]: outcome for key, outcome in baselines.items()
-             if key[1] == 0.0}
-    if "numpy" in exact and "python" in exact:
-        perf.incr("verify_comparisons")
-        findings += compare_outcomes(case.name, exact["numpy"],
-                                     exact["python"],
-                                     rtol=CROSS_KERNEL_RTOL)
+        findings += compare_outcomes(case.name, baseline, outcome)
     perf.incr("verify_discrepancies", len(findings))
     return findings
+
+
+def replay_reproducer(manifest_path: str, tech: Technology,
+                      perf: PerfCounters
+                      ) -> Tuple[ConformanceCase, List[Discrepancy], dict]:
+    """Re-run an emitted reproducer: the manifest's modes, plus the
+    invariants when any recorded discrepancy is one.  Returns the case,
+    what it fails with now, and the manifest."""
+    case, modes, model_name, manifest = load_reproducer(manifest_path, tech)
+    findings = check_case(case, modes, model_name, perf)
+    if any(entry.get("kind") == "invariant"
+           for entry in manifest.get("discrepancies", [])):
+        # A generated case carries its run's seed, so this is the seed
+        # ConformanceRunner.check gave the invariants (cfg.seed + case.seed).
+        findings += check_invariants(case, case.seed + case.seed, perf)
+    return case, findings, manifest
 
 
 def _implicated_modes(discrepancies: Sequence[Discrepancy]

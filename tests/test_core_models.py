@@ -16,7 +16,7 @@ from repro.core.models import (
     standard_models,
 )
 from repro.errors import TechnologyError, TimingError
-from repro.rctree import RCTree
+from repro.rctree import RCTree, TreeTemplate
 from repro.tech import CMOS3, DeviceKind, SlopeTable, SlopeTableSet, Transition
 
 
@@ -24,14 +24,16 @@ def single_node_request(r=1e3, c=1e-12, slope=0.0, tech=CMOS3):
     tree = RCTree("src")
     tree.add_edge("src", "out", r)
     tree.add_cap("out", c)
-    return StageRequest(tree=tree, target="out", transition=Transition.FALL,
+    return StageRequest(template=TreeTemplate.from_rctree(tree),
+                        target="out", transition=Transition.FALL,
                         trigger_kind=DeviceKind.NMOS_ENH, input_slope=slope,
                         tech=tech)
 
 
 def ladder_request(n=4, r=1e3, c=1e-12, slope=0.0, tech=CMOS3):
     tree = RCTree.chain([r] * n, [c] * n)
-    return StageRequest(tree=tree, target=f"n{n}",
+    return StageRequest(template=TreeTemplate.from_rctree(tree),
+                        target=f"n{n}",
                         transition=Transition.FALL,
                         trigger_kind=DeviceKind.NMOS_ENH, input_slope=slope,
                         tech=tech)
@@ -46,7 +48,8 @@ class TestRequestValidation:
         tree = RCTree("src")
         tree.add_edge("src", "a", 1e3)
         with pytest.raises(TimingError):
-            StageRequest(tree=tree, target="ghost",
+            StageRequest(template=TreeTemplate.from_rctree(tree),
+                         target="ghost",
                          transition=Transition.RISE,
                          trigger_kind=DeviceKind.PMOS, input_slope=0.0,
                          tech=CMOS3)

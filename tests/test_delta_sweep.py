@@ -281,15 +281,6 @@ class TestRunSweepDelta:
         assert delta.batch_perf.delta_skip_rate > 0
         assert "delta sweeps:" in delta.batch_perf.format_table()
 
-    def test_delta_composes_with_python_kernel(self, rca4, rca4_vectors):
-        numpy_side = run_sweep(rca4, rca4_vectors, delta=True)
-        python_side = run_sweep(rca4, rca4_vectors, delta=True,
-                                kernel="python")
-        for a, b in zip(numpy_side.outcomes, python_side.outcomes):
-            for event, arrival in a.result.arrivals.items():
-                other = b.result.arrivals[event]
-                assert arrival.time == pytest.approx(other.time, abs=1e-18)
-
     def test_duplicate_labels_rejected(self, rca4, rca4_vectors):
         doubled = rca4_vectors + [rca4_vectors[2]]
         with pytest.raises(SweepError, match="duplicate vector label"):

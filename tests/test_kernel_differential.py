@@ -1,39 +1,31 @@
-"""Differential tests for the vectorized PRH kernel and tree templates.
+"""Differential tests for the O(N) PRH kernel and tree templates.
 
 The scalar O(N^2) reference (:func:`repro.rctree.time_constants`) is the
-ground truth; the vectorized kernel's two backends (level-swept numpy,
-O(N) plain Python) must reproduce it to float accuracy on every tree
-shape, and the analyzer's ``kernel="numpy"`` path must produce the same
-arrivals as ``kernel="python"`` end to end — including when the
-structural-sharing layer (:mod:`repro.core.timing.stage_iso`) answers
-isomorphic stages from their representative's templates.
+ground truth; the O(N) list kernel must reproduce it to float accuracy
+on every tree shape, and on every template an rca8 analysis compiles —
+including when the structural-sharing layer
+(:mod:`repro.core.timing.stage_iso`) answers isomorphic stages from
+their representative's templates.
 """
 
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.vectors import Vector
 from repro.circuits import adder_input_names, ripple_carry_adder
 from repro.core.models import characterize_technology
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.errors import AnalysisError
 from repro.netlist import Network
+from repro.perf import PerfCounters
 from repro.rctree import RCTree, TimeConstants, TreeTemplate, time_constants
-from repro.rctree.kernel import set_forced_backend
 from repro.tech import CMOS3
+from repro.verify import ConformanceCase, check_kernel_invariant
 
 RTOL = 1e-9
-
-
-@pytest.fixture
-def forced_backend():
-    """Yield a setter and always restore auto dispatch afterwards."""
-    try:
-        yield set_forced_backend
-    finally:
-        set_forced_backend(None)
 
 
 def assert_constants_close(got: TimeConstants, want: TimeConstants) -> None:
@@ -43,14 +35,12 @@ def assert_constants_close(got: TimeConstants, want: TimeConstants) -> None:
             f"{name}: kernel {a!r} != scalar {b!r}")
 
 
-def check_tree_both_backends(tree: RCTree, backend_setter) -> None:
-    """Template constants == scalar reference, on both kernel backends."""
-    for backend in ("python", "numpy"):
-        backend_setter(backend)
-        template = TreeTemplate.from_rctree(tree)
-        for node in tree.nodes:
-            assert_constants_close(template.constants_for(node),
-                                   time_constants(tree, node))
+def check_tree(tree: RCTree) -> None:
+    """Template constants == scalar reference at every node."""
+    template = TreeTemplate.from_rctree(tree)
+    for node in tree.nodes:
+        assert_constants_close(template.constants_for(node),
+                               time_constants(tree, node))
 
 
 def random_tree(draw_edges) -> RCTree:
@@ -73,52 +63,37 @@ edge_strategy = st.lists(
 
 
 class TestKernelVsScalar:
-    # The fixture only restores auto dispatch on exit; the checker
-    # itself sets the backend fresh for every example, so reuse across
-    # generated inputs is intended.
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, deadline=None)
     @given(edges=edge_strategy)
-    def test_random_trees(self, forced_backend, edges):
-        check_tree_both_backends(random_tree(edges), forced_backend)
+    def test_random_trees(self, edges):
+        check_tree(random_tree(edges))
 
-    def test_single_node(self, forced_backend):
+    def test_single_node(self):
         tree = RCTree("out")
         tree.add_cap("out", 3e-12)
-        for backend in ("python", "numpy"):
-            forced_backend(backend)
-            template = TreeTemplate.from_rctree(tree)
-            k = template.constants_for("out")
-            assert k.t_d == 0.0 and k.t_r == 0.0 and k.t_p == 0.0
-            assert template.total_cap() == pytest.approx(3e-12)
+        template = TreeTemplate.from_rctree(tree)
+        k = template.constants_for("out")
+        assert k.t_d == 0.0 and k.t_r == 0.0 and k.t_p == 0.0
+        assert template.total_cap() == pytest.approx(3e-12)
 
-    def test_deep_chain(self, forced_backend):
-        # Deeper than SMALL_TREE_CUTOFF so auto dispatch would go numpy;
-        # force both anyway.
-        tree = RCTree.chain([1e3] * 96, [1e-13] * 96)
-        check_tree_both_backends(tree, forced_backend)
+    def test_deep_chain(self):
+        check_tree(RCTree.chain([1e3] * 96, [1e-13] * 96))
 
-    def test_star(self, forced_backend):
+    def test_star(self):
         tree = RCTree("hub")
         for i in range(96):
             tree.add_edge("hub", f"leaf{i}", 500.0 + i)
             tree.add_cap(f"leaf{i}", 1e-13 * (i + 1))
-        check_tree_both_backends(tree, forced_backend)
+        check_tree(tree)
 
-    def test_backends_agree_exactly_shaped(self, forced_backend):
-        """Path resistance must match the scalar tree on both backends."""
+    def test_backends_agree_exactly_shaped(self):
+        """Path resistance must match the scalar tree."""
         tree = random_tree([(0, 100.0, 1e-12), (1, 200.0, 2e-12),
                             (1, 300.0, 1e-12), (0, 400.0, 5e-13)])
-        for backend in ("python", "numpy"):
-            forced_backend(backend)
-            template = TreeTemplate.from_rctree(tree)
-            for node in tree.non_root_nodes:
-                assert template.path_resistance(node) == pytest.approx(
-                    tree.path_resistance(node), rel=RTOL)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_forced_backend("fortran")
+        template = TreeTemplate.from_rctree(tree)
+        for node in tree.non_root_nodes:
+            assert template.path_resistance(node) == pytest.approx(
+                tree.path_resistance(node), rel=RTOL)
 
 
 class TestAnalyzerDifferential:
@@ -129,32 +104,27 @@ class TestAnalyzerDifferential:
         inputs = {name: 0.0 for name in adder_input_names(8)}
         return network, inputs
 
-    def test_rca8_numpy_matches_python(self, rca8):
+    def test_rca8_kernel_invariant(self, rca8):
+        """``repro verify``'s kernel invariant, on rca8: every template
+        the analysis compiles agrees with the O(N^2) reference."""
         network, inputs = rca8
-        results = {kern: TimingAnalyzer(network, kernel=kern).analyze(inputs)
-                   for kern in ("numpy", "python")}
-        numpy_arrivals = results["numpy"].arrivals
-        python_arrivals = results["python"].arrivals
-        assert set(numpy_arrivals) == set(python_arrivals)
-        for node, arrival in numpy_arrivals.items():
-            reference = python_arrivals[node]
-            assert math.isclose(arrival.time, reference.time,
-                                rel_tol=RTOL, abs_tol=1e-15), node
-            assert math.isclose(arrival.slope, reference.slope,
-                                rel_tol=RTOL, abs_tol=1e-15), node
+        case = ConformanceCase(name="rca8", seed=0, family="adder",
+                               network=network,
+                               vectors=[Vector("v0", inputs)])
+        perf = PerfCounters()
+        assert check_kernel_invariant(case, perf) == []
+        templates = TimingAnalyzer(network).analyze(inputs).perf.get(
+            "tree_template_misses")
+        assert perf.get("verify_invariant_checks") == templates > 0
 
-    def test_numpy_path_builds_no_dict_trees(self, rca8):
+    def test_kernel_counters_surface(self, rca8):
         network, inputs = rca8
-        analyzer = TimingAnalyzer(network, kernel="numpy")
-        result = analyzer.analyze(inputs)
-        counters = result.perf.counters
-        assert counters.get("tree_builds", 0) == 0
+        counters = TimingAnalyzer(network).analyze(inputs).perf.counters
         assert counters["tree_template_misses"] > 0
         assert counters["kernel_batches"] > 0
         assert counters["kernel_nodes"] >= counters["kernel_batches"]
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_disjoint_copies_cost_one_copy(self, kernel):
+    def test_disjoint_copies_cost_one_copy(self):
         """k disjoint copies of one cell under identical input timing ask
         the delay model exactly what one copy asks, compile templates
         for representative (first-copy) stages only, and give
@@ -164,13 +134,13 @@ class TestAnalyzerDifferential:
                   for i, name in enumerate(adder_input_names(2))}
         copies = Network(CMOS3, name="copies")
         maps = [copies.merge_from(cell, prefix=f"c{k}_") for k in range(3)]
-        one = TimingAnalyzer(cell, kernel=kernel).analyze(inputs)
-        analyzer = TimingAnalyzer(copies, kernel=kernel)
+        one = TimingAnalyzer(cell).analyze(inputs)
+        analyzer = TimingAnalyzer(copies)
         many = analyzer.analyze({mapping[name]: spec for mapping in maps
                                  for name, spec in inputs.items()})
 
         for counter in ("model_evals", "tree_template_misses",
-                        "tree_builds", "path_enumerations"):
+                        "path_enumerations"):
             assert many.perf.get(counter) == one.perf.get(counter), counter
         assert many.perf.get("model_evals") > 0
         stages = analyzer.graph.stages
@@ -185,7 +155,7 @@ class TestAnalyzerDifferential:
 
     def test_invalidate_caches_drops_templates(self, rca8):
         network, inputs = rca8
-        analyzer = TimingAnalyzer(network, kernel="numpy")
+        analyzer = TimingAnalyzer(network)
         analyzer.analyze(inputs)
         assert analyzer._templates
         analyzer.invalidate_caches()
@@ -198,7 +168,7 @@ class TestAnalyzerDifferential:
 class TestTimeConstantsSlack:
     def test_accepts_rounding_at_td_scale(self):
         # T_R a hair above T_D (within 1e-9 relative) must not raise:
-        # the vectorized kernel's reassociated sums can land there.
+        # the O(N) kernel's reassociated sums can land there.
         t_d = 1e-6
         TimeConstants(t_p=2e-6, t_d=t_d, t_r=t_d * (1 + 1e-10))
 

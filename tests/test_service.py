@@ -125,7 +125,7 @@ class TestProtocol:
         ({"netlist": ""}, "netlist"),
         ({"tech": "gaas"}, "unknown tech"),
         ({"model": "spicy"}, "unknown model"),
-        ({"kernel": "fortran"}, "unknown kernel"),
+        ({"kernel": "numpy"}, "unknown request field(s): kernel"),
         ({"slope_quantum": -0.1}, "slope_quantum"),
         ({"characterize": "yes"}, "characterize"),
         ({"vectors": []}, "vectors"),
@@ -151,8 +151,8 @@ class TestProtocol:
 
     def test_pool_key_tracks_config(self):
         base = parse_analyze_request(self._payload())
-        for mutation in ({"model": "rc-tree"}, {"kernel": "python"},
-                         {"slope_quantum": 0.05}, {"characterize": False},
+        for mutation in ({"model": "rc-tree"}, {"slope_quantum": 0.05},
+                         {"characterize": False},
                          {"netlist": INVERTER_SIM.replace("in", "a")}):
             other = parse_analyze_request(self._payload(**mutation))
             assert other.pool_key() != base.pool_key(), mutation
@@ -340,8 +340,11 @@ class TestServiceEndToEnd:
          '"vectors": [{"inputs": {"a": "0", "a": "5n", "b": "0"}}]'),
         ("request field 'characterize' given twice",
          '"characterize": true, "vectors": [{"inputs": {"a": "0"}}]'),
+        ("unknown request field(s): kernel",
+         '"kernel": "numpy", "vectors": [{"inputs": {"a": "0", "b": "0"}}]'),
     ], ids=["slope-quantum", "input-token", "negative-slope",
-            "not-primary-input", "duplicate-json-key", "duplicate-field"])
+            "not-primary-input", "duplicate-json-key", "duplicate-field",
+            "kernel-field"])
     def test_overflowing_number_is_400(self, service, field, body):
         import http.client as http_client
         host, port = service.service.address

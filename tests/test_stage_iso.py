@@ -148,3 +148,20 @@ def test_dec5_shares_one_class_per_gate_shape():
     result = analyzer.analyze(_seeded_vector(network))
     assert result.perf.get("path_enumerations") == 26
     assert result.perf.get("tree_template_misses") == 66
+
+
+@pytest.mark.parametrize("build, counts", [
+    (lambda: ripple_carry_adder(CMOS3, 32),
+     (352, 28, 5984, 753, 42, 310, 2259)),
+    (lambda: decoder(CMOS3, 5), (69, 26, 7434, 230, 66, 40, 1348)),
+], ids=["rca32", "dec5"])
+def test_cold_analysis_counters_pinned(build, counts):
+    """Exact work of one cold analysis on analytic CMOS3 with every input
+    at 0: a change to sharing, enumeration, templates or batching moves
+    one of these."""
+    network = build()
+    result = TimingAnalyzer(network).analyze(
+        {node: 0.0 for node in _input_names(network)})
+    assert tuple(result.perf.get(counter) for counter in (
+        "stage_visits", "path_enumerations", "candidates", "model_evals",
+        "tree_template_misses", "kernel_batches", "kernel_nodes")) == counts

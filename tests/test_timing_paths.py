@@ -3,7 +3,8 @@
 import pytest
 
 from repro.circuits import Gates, inverter_chain, nand_gate, pass_chain
-from repro.core.timing import build_tree, effective_node_cap, enumerate_paths
+from repro.core.timing import effective_node_cap, enumerate_paths
+from repro.core.timing.paths import compile_template
 from repro.errors import TimingError
 from repro.netlist import GND, VDD, Network, decompose_stages
 from repro.switchlevel import Logic
@@ -152,7 +153,7 @@ class TestTreeBuilding:
         states = {"en": Logic.ONE, "in": Logic.ZERO}
         paths = enumerate_paths(net, stage, "out", Transition.RISE, states)
         path = max(paths, key=lambda p: len(p.elements))
-        tree = build_tree(net, stage, path, states)
+        tree = compile_template(net, stage, path, states).to_rctree()
         assert tree.root == path.source
         assert tree.contains("out")
         assert tree.path_resistance("out") > 0
@@ -163,7 +164,7 @@ class TestTreeBuilding:
         states = {"en": Logic.ONE}
         paths = enumerate_paths(net, stage, "out", Transition.RISE, states)
         path = max(paths, key=lambda p: len(p.elements))
-        tree = build_tree(net, stage, path, states)
+        tree = compile_template(net, stage, path, states).to_rctree()
         assert tree.cap("out") == pytest.approx(
             effective_node_cap(net, "out"))
 
@@ -178,7 +179,7 @@ class TestTreeBuilding:
         stage = stage_for(net, "out")
         states = {"s": Logic.ONE, "sn": Logic.ZERO}
         paths = enumerate_paths(net, stage, "out", Transition.RISE, states)
-        tree = build_tree(net, stage, paths[0], states)
+        tree = compile_template(net, stage, paths[0], states).to_rctree()
         merged = tree.path_resistance("out")
         # Compare against each device alone.
         singles = []
@@ -201,8 +202,10 @@ class TestTreeBuilding:
         states_on = {"en": Logic.ONE}
         states_off = {"en": Logic.ZERO}
         paths = enumerate_paths(net, stage, "y", Transition.FALL, states_on)
-        tree_on = build_tree(net, stage, paths[0], states_on)
-        tree_off = build_tree(net, stage, paths[0], states_off)
+        tree_on = compile_template(net, stage, paths[0],
+                                   states_on).to_rctree()
+        tree_off = compile_template(net, stage, paths[0],
+                                    states_off).to_rctree()
         assert tree_on.total_cap() > tree_off.total_cap() + 30e-15
         assert tree_on.contains("side")
         assert not tree_off.contains("side")
@@ -215,5 +218,6 @@ class TestTreeBuilding:
         net.mark_input("a", "en")
         stage = stage_for(net, "y")
         paths = enumerate_paths(net, stage, "y", Transition.FALL)
-        tree = build_tree(net, stage, paths[0], include_branches=False)
+        tree = compile_template(net, stage, paths[0],
+                                include_branches=False).to_rctree()
         assert not tree.contains("side")

@@ -2,26 +2,27 @@
 
 Generator determinism and validity, the engine-mode matrix and its
 matched-reference bookkeeping, clean-engine conformance across seeds,
-and the acceptance gate: an intentionally injected model bug (the
-``set_template_delay_scale`` hook in ``rc_tree_model.py``) must be
-*caught* by the cross-kernel comparison and *shrunk* to a reproducer of
-at most 8 transistors.
+and the acceptance gate: an intentionally injected kernel bug (the
+``set_constants_scale`` hook in ``rctree/kernel.py``) must be *caught*
+by the kernel invariant and *shrunk* to a reproducer of at most 8
+transistors.
 """
 
 import pytest
 
-from repro.core.models import rc_tree_model
 from repro.core.timing.stage_graph import StageGraph
 from repro.errors import ReproError
 from repro.netlist import sim_format
 from repro.perf import PerfCounters
 from repro.perf.counters import STANDARD_COUNTERS
+from repro.rctree import kernel
 from repro.tech import CMOS3, NMOS4
 from repro.verify import (
     MODES,
     ConformanceConfig,
     ConformanceRunner,
     check_case,
+    check_kernel_invariant,
     format_verify_report,
     generate_case,
     mode_from_name,
@@ -32,10 +33,10 @@ from repro.verify.modes import reference_name
 
 @pytest.fixture
 def template_bug():
-    """Install the injected model bug; always uninstall afterwards."""
-    rc_tree_model.set_template_delay_scale(1.02)
+    """Install the injected kernel bug; always uninstall afterwards."""
+    kernel.set_constants_scale(1.02)
     yield
-    rc_tree_model.set_template_delay_scale(None)
+    kernel.set_constants_scale(None)
 
 
 class TestGenerator:
@@ -87,12 +88,11 @@ class TestModeRegistry:
             assert mode_from_name(name) is mode
 
     def test_reference_names_resolve(self):
-        for kernel in ("numpy", "python"):
-            for quantum in (0.0, 0.05):
-                name = reference_name(kernel, quantum)
-                mode = mode_from_name(name)
-                assert mode.is_reference
-                assert mode.reference_key == (kernel, quantum)
+        for quantum in (0.0, 0.05):
+            name = reference_name(quantum)
+            mode = mode_from_name(name)
+            assert mode.is_reference
+            assert mode.reference_key == quantum
 
     def test_matched_reference_shares_key(self):
         for mode in MODES.values():
@@ -101,8 +101,8 @@ class TestModeRegistry:
     def test_parse_modes(self):
         assert [m.name for m in parse_modes(None)] == list(MODES)
         assert [m.name for m in parse_modes("all")] == list(MODES)
-        assert [m.name for m in parse_modes("delta, python")] == [
-            "delta", "python"]
+        assert [m.name for m in parse_modes("delta, quantized")] == [
+            "delta", "quantized"]
         with pytest.raises(ReproError, match="unknown engine mode"):
             parse_modes("warp-drive")
 
@@ -143,21 +143,19 @@ class TestCleanEngine:
 
 
 class TestInjectedBug:
-    """The acceptance gate: a deliberate model mutation must be caught
+    """The acceptance gate: a deliberate kernel mutation must be caught
     and shrunk to <= 8 transistors."""
 
     def test_bug_caught_and_shrunk(self, tmp_path, template_bug):
         config = ConformanceConfig(tech=CMOS3, cases=2, seed=0,
                                    out_dir=str(tmp_path))
         report = ConformanceRunner(config).run()
-        assert not report.ok, (
-            "injected template-delay bug went undetected")
+        assert not report.ok, "injected kernel bug went undetected"
         for failure in report.failures:
-            kinds = {d.kind for d in failure.discrepancies}
-            assert kinds & {"arrival-time", "arrival-slope"}, kinds
-            # caught by the cross-kernel reference comparison
-            pairs = {(d.mode_a, d.mode_b) for d in failure.discrepancies}
-            assert ("reference", "reference[python]") in pairs, pairs
+            # caught by the kernel invariant, and only by it
+            assert {(d.kind, d.mode_a, d.mode_b)
+                    for d in failure.discrepancies} == {
+                ("invariant", "kernel", "scalar")}
             assert failure.shrunk is not None
             assert failure.shrunk.size <= 8, (
                 f"{failure.case.name}: shrunk reproducer still has "
@@ -166,24 +164,21 @@ class TestInjectedBug:
             assert failure.manifest_path is not None
 
     def test_bug_invisible_without_python_mode(self, template_bug):
-        # The mutation scales the template (numpy) path only; with both
-        # kernels scaled out of the matrix... the numpy-only modes all
-        # inherit the same wrong numbers and still agree.  This pins down
-        # *why* the cross-kernel reference pair is in the default matrix.
+        # Every engine mode runs the one kernel, so all of them inherit
+        # the same wrong numbers and still agree: the mode matrix cannot
+        # see a kernel fault.  This pins down *why* the kernel invariant
+        # exists.
         case = generate_case(CMOS3, seed=0, index=0)
-        numpy_only = parse_modes("reference,incremental,delta,delta-greedy")
-        findings = check_case(case, numpy_only, "rc-tree", PerfCounters())
+        findings = check_case(case, parse_modes("all"), "rc-tree",
+                              PerfCounters())
         assert findings == []
-        both = parse_modes("reference,python")
-        findings = check_case(case, both, "rc-tree", PerfCounters())
-        assert findings, "cross-kernel comparison missed the bug"
+        findings = check_kernel_invariant(case, PerfCounters())
+        assert findings, "kernel invariant missed the bug"
 
     def test_clean_after_hook_cleared(self):
-        rc_tree_model.set_template_delay_scale(None)
+        kernel.set_constants_scale(None)
         case = generate_case(CMOS3, seed=0, index=0)
-        findings = check_case(case, parse_modes("reference,python"),
-                              "rc-tree", PerfCounters())
-        assert findings == []
+        assert check_kernel_invariant(case, PerfCounters()) == []
 
 
 class TestVerifyCLI:

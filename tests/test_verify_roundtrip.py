@@ -7,28 +7,38 @@ on integer grids and the dumpers print 12 significant digits, so the
 round trip is exact — these tests enforce it end to end.
 """
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.batch.vectors import dump_vector_file, load_vector_file
-from repro.core.models import rc_tree_model
+from repro.core.models import RCTreeModel
 from repro.core.timing import TimingAnalyzer
 from repro.netlist import sim_format
 from repro.perf import PerfCounters
+from repro.rctree import kernel
 from repro.tech import CMOS3
 from repro.verify import (
     ConformanceConfig,
     ConformanceRunner,
-    check_case,
+    Discrepancy,
     generate_case,
     load_reproducer,
+    replay_reproducer,
 )
 
 
 @pytest.fixture
 def template_bug():
-    rc_tree_model.set_template_delay_scale(1.02)
+    kernel.set_constants_scale(1.02)
     yield
-    rc_tree_model.set_template_delay_scale(None)
+    kernel.set_constants_scale(None)
+
+
+def _recorded_keys(manifest):
+    return {(d["kind"], d["mode_a"], d["mode_b"], d["label"], d["event"])
+            for d in manifest["discrepancies"]}
 
 
 class TestGeneratedCaseRoundTrip:
@@ -68,27 +78,24 @@ class TestReproducerRoundTrip:
 
     def test_replay_reproduces_identical_discrepancy(self, tmp_path,
                                                      template_bug):
-        """Parse the emitted pair back, re-run the implicated modes, and
-        compare against the manifest: same kinds, same mode pairs, same
-        labels/events — the identical discrepancy."""
+        """Parse the emitted pair back, re-run what the manifest
+        implicates, and compare against it: same kinds, same mode
+        pairs, same labels/events — the identical discrepancy."""
         failure = self._emit_failure(tmp_path)
-        case, modes, model_name, manifest = load_reproducer(
-            failure.manifest_path, CMOS3)
+        case, found, manifest = replay_reproducer(
+            failure.manifest_path, CMOS3, PerfCounters())
         assert case.size == failure.shrunk.size
-        found = check_case(case, modes, model_name, PerfCounters())
-        want = {(d["kind"], d["mode_a"], d["mode_b"], d["label"],
-                 d["event"]) for d in manifest["discrepancies"]}
-        got = {d.key() for d in found}
-        assert got == want
+        assert isinstance(case.vectors, list)
+        assert {d.key() for d in found} == _recorded_keys(manifest)
 
     def test_replay_clean_once_bug_fixed(self, tmp_path, template_bug):
         """After 'fixing the bug', the same reproducer replays clean —
         exactly how a reproducer is used during an actual debug cycle."""
         failure = self._emit_failure(tmp_path)
-        rc_tree_model.set_template_delay_scale(None)
-        case, modes, model_name, _ = load_reproducer(
-            failure.manifest_path, CMOS3)
-        assert check_case(case, modes, model_name, PerfCounters()) == []
+        kernel.set_constants_scale(None)
+        _, found, _ = replay_reproducer(failure.manifest_path, CMOS3,
+                                        PerfCounters())
+        assert found == []
 
     def test_replay_cli(self, tmp_path, capsys, template_bug):
         from repro.cli import main
@@ -98,12 +105,38 @@ class TestReproducerRoundTrip:
         assert main(["verify", "--replay", failure.manifest_path]) == 1
         out = capsys.readouterr().out
         assert "discrepancy" in out
-        rc_tree_model.set_template_delay_scale(None)
+        kernel.set_constants_scale(None)
         assert main(["verify", "--replay", failure.manifest_path]) == 0
 
-    def test_manifest_is_self_describing(self, tmp_path, template_bug):
-        import json
+    def test_replay_reruns_invariants(self, tmp_path, capsys, monkeypatch):
+        """A model bug every mode shares fails only an invariant; its
+        reproducer must still replay as a failure, with the recorded
+        discrepancies."""
+        from repro.cli import main
 
+        evaluate = RCTreeModel.evaluate
+
+        def falls_with_cap(self, request):
+            # The delay shrinks as the stage's capacitance grows.
+            return dataclasses.replace(
+                evaluate(self, request),
+                delay=1e-24 / request.total_capacitance())
+
+        monkeypatch.setattr(RCTreeModel, "evaluate", falls_with_cap)
+        assert main(["verify", "--cases", "1", "--seed", "0",
+                     "--out", str(tmp_path)]) == 1
+        (path,) = tmp_path.glob("*.json")
+        manifest = json.loads(path.read_text())
+        assert {d["kind"] for d in manifest["discrepancies"]} == {
+            "invariant"}
+        capsys.readouterr()
+        assert main(["verify", "--replay", str(path)]) == 1
+        printed = capsys.readouterr().out.splitlines()[1:]
+        assert {line.strip() for line in printed} == {
+            str(Discrepancy(case_name=manifest["case"], **d))
+            for d in manifest["discrepancies"]}
+
+    def test_manifest_is_self_describing(self, tmp_path, template_bug):
         failure = self._emit_failure(tmp_path)
         manifest = json.load(open(failure.manifest_path))
         for key in ("case", "seed", "family", "tech", "model", "modes",
@@ -146,14 +179,11 @@ class TestClockedReproducer:
                    if f.case.family == "clocked"]
         assert clocked, "clocked case did not fail under the injected bug"
         failure = clocked[0]
-        case, modes, model_name, manifest = load_reproducer(
-            failure.manifest_path, CMOS3)
+        case, found, manifest = replay_reproducer(
+            failure.manifest_path, CMOS3, PerfCounters())
         assert manifest["schedule"] is not None
         if case.clocks:  # clocks survive unless shrunk away entirely
             assert case.schedule is not None
             phase = case.schedule.phase(next(iter(case.clocks.values())))
             assert phase.fall > phase.rise
-        found = check_case(case, modes, model_name, PerfCounters())
-        assert {d.key() for d in found} == {
-            (d["kind"], d["mode_a"], d["mode_b"], d["label"], d["event"])
-            for d in manifest["discrepancies"]}
+        assert {d.key() for d in found} == _recorded_keys(manifest)
