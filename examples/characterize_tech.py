@@ -1,22 +1,22 @@
 #!/usr/bin/env python
-"""Regenerate the slope-model tables for a technology.
+"""Regenerate the characterized tables for a technology.
 
 Shows the characterization methodology of the paper end to end: reference
 fixtures are simulated with the analog engine across a logarithmic grid of
 slope ratios, static effective resistances are fitted from step inputs,
-and the resulting tables are printed and (optionally) written to JSON so
-they can be reloaded without re-running the fits.
+and the fitted technology is printed and (optionally) written to JSON so
+it can be reloaded without re-running the fits.  Written for a built-in
+technology, the file is the one shipped in ``repro/tech/characterized/``.
 
 Run:  python examples/characterize_tech.py [nmos|cmos] [output.json]
 """
 
-import json
 import sys
 
 from repro import NMOS4, CMOS3
-from repro.core.models import characterize_technology
+from repro.core.models import fit_technology
 from repro.core.models.characterize import fixtures_for, table_summary
-from repro.tech import SlopeTableSet
+from repro.tech import load_technology, save_technology
 
 
 def main() -> None:
@@ -31,7 +31,7 @@ def main() -> None:
                       for f in fixtures_for(base)))
 
     print("\nfitting (one transient per grid point per fixture) ...")
-    fitted = characterize_technology(base)
+    fitted = fit_technology(base)
 
     print()
     print(table_summary(fitted))
@@ -44,14 +44,13 @@ def main() -> None:
               f"{entry.r_square / 1e3:9.2f} kOhm/sq")
 
     if output:
-        with open(output, "w") as handle:
-            json.dump(fitted.slope_tables.to_dict(), handle, indent=2)
-        print(f"\nslope tables written to {output}")
+        save_technology(fitted, output)
+        print(f"\ntechnology written to {output}")
         # Demonstrate the reload path.
-        with open(output) as handle:
-            reloaded = SlopeTableSet.from_dict(json.load(handle))
-        print(f"reload check: {len(reloaded.keys())} tables, "
-              f"source {reloaded.source!r}")
+        reloaded = load_technology(output)
+        print(f"reload check: {len(reloaded.slope_tables.keys())} tables, "
+              f"source {reloaded.slope_tables.source!r}, "
+              f"equal to the fit: {reloaded == fitted}")
 
 
 if __name__ == "__main__":

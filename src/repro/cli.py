@@ -12,7 +12,7 @@ of commands; this CLI reproduces that workflow non-interactively:
     repro-crystal sweep     adder.sim --tech cmos3 --vectors vecs.txt \
                             --profile
     repro-crystal hazards   datapath.sim --tech nmos4
-    repro-crystal characterize --tech nmos4 --output tables.json
+    repro-crystal characterize --tech nmos4 --output nmos4.json
 
 Timing ``--input`` syntax: ``name=TIME`` (both edges),
 ``name=TIME:rise`` (rising edge only), ``name=TIME:fall`` (falling only),
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .batch import (
     VECTOR_ORDERS,
@@ -52,6 +51,7 @@ from .core.models import (
     RCTreeModel,
     SlopeModel,
     characterize_technology,
+    fit_technology,
 )
 from .core.models.characterize import table_summary
 from .core.timing import (
@@ -65,10 +65,8 @@ from .core.timing import (
 from .errors import ReproError
 from .netlist import Network, sim_format, spice_format, validate_network
 from .switchlevel import Logic, SwitchSimulator
-from .tech import CMOS3, NMOS4, Technology, Transition
+from .tech import TECHNOLOGIES, Technology, Transition, save_technology
 from .units import parse_value
-
-TECHNOLOGIES: Dict[str, Technology] = {"nmos4": NMOS4, "cmos3": CMOS3}
 
 MODELS = {
     "lumped-rc": LumpedRCModel,
@@ -413,12 +411,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
-    tech = _tech(args.tech, characterized=True)
+    base = _tech(args.tech, characterized=False)
+    if args.output:
+        open(args.output, "w").close()  # refuse a bad path before the fit
+    tech = fit_technology(base)
     print(table_summary(tech))
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(tech.slope_tables.to_dict(), handle, indent=2)
-        print(f"tables written to {args.output}")
+        save_technology(tech, args.output)
+        print(f"technology written to {args.output}")
     return 0
 
 
@@ -611,7 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "nest batch and engine spans)")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("characterize", help="fit and dump slope tables")
+    p = sub.add_parser("characterize",
+                       help="re-fit a technology against the analog "
+                            "reference; -o writes its full JSON")
     add_common(p, netlist=False)
     p.add_argument("--output", "-o", metavar="FILE.json")
     p.set_defaults(func=cmd_characterize)

@@ -11,6 +11,7 @@ from .characterize import (
     characterize_fixture,
     characterize_technology,
     clear_cache,
+    fit_technology,
     fixtures_for,
     table_summary,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "characterize_fixture",
     "characterize_technology",
     "clear_cache",
+    "fit_technology",
     "fixtures_for",
     "table_summary",
     "ALL_MODELS",

@@ -27,7 +27,7 @@ for a step input on the fixture; the slope table's ``delay_factor`` is then
 from __future__ import annotations
 
 import dataclasses
-import math
+import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,18 +35,23 @@ from ...analog import delay_between, simulate, sources
 from ...errors import TechnologyError
 from ...netlist import Network
 from ...tech import (
+    CHARACTERIZED_DIR,
+    TECHNOLOGIES,
     DeviceKind,
     SlopeTable,
     SlopeTableSet,
     StaticResistance,
     Technology,
     Transition,
+    load_technology,
     logarithmic_ratio_grid,
+    technology_to_dict,
 )
 from ...tech import cmos3 as _cmos
 from ...tech import nmos4 as _nmos
 
-#: Characterization results are deterministic per technology; cache them.
+#: Characterized technologies keyed on content: the sorted-key JSON of
+#: the technology and the ratio grid.
 _CACHE: Dict[Tuple[str, Tuple[float, ...]], Technology] = {}
 
 
@@ -246,38 +251,46 @@ def characterize_fixture(tech: Technology, fixture: Fixture,
         total_cap=total_cap, points=points)
 
 
-def characterize_technology(tech: Technology,
-                            ratios: Optional[List[float]] = None,
-                            use_cache: bool = True) -> Technology:
-    """Return a copy of *tech* with fitted static resistances and slope
-    tables.  Results are cached per (technology name, ratio grid)."""
-    grid = tuple(ratios or logarithmic_ratio_grid())
-    key = (tech.name, grid)
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
-
+def fit_technology(tech: Technology,
+                   ratios: Optional[List[float]] = None) -> Technology:
+    """Return a copy of *tech* with static resistances and slope tables
+    fitted against the reference simulator.  Uncached: ``repro-crystal
+    characterize`` regenerates the shipped fits with it."""
     static = dict(tech.static_resistance)
     table_set = SlopeTableSet(source=f"characterized:{tech.name}")
-    results: Dict[Tuple[DeviceKind, Transition], CharacterizationResult] = {}
     for fixture in fixtures_for(tech):
-        result = characterize_fixture(tech, fixture, list(grid))
-        results[(fixture.kind, fixture.transition)] = result
+        result = characterize_fixture(tech, fixture, ratios)
         r_square = result.static_resistance * fixture.reference_shape
         static[(fixture.kind, fixture.transition)] = StaticResistance(r_square)
         table_set.add(fixture.kind, fixture.transition, result.table())
 
     # Keys not characterized (e.g. (NMOS_DEP, FALL)) inherit the analytic
     # defaults already present in `static`.
-    fitted = dataclasses.replace(tech, static_resistance=static,
-                                 slope_tables=table_set)
-    fitted.characterization = results  # attached for inspection
-    if use_cache:
-        _CACHE[key] = fitted
-    return fitted
+    return dataclasses.replace(tech, static_resistance=static,
+                               slope_tables=table_set)
+
+
+def characterize_technology(tech: Technology,
+                            ratios: Optional[List[float]] = None
+                            ) -> Technology:
+    """Return *tech* characterized on *ratios* (default: the logarithmic
+    grid), memoized on content.  A built-in technology, unchanged, on the
+    default grid loads its shipped fit from :data:`CHARACTERIZED_DIR`;
+    anything else is fitted by :func:`fit_technology`."""
+    grid = tuple(ratios or logarithmic_ratio_grid())
+    key = (json.dumps(technology_to_dict(tech), sort_keys=True), grid)
+    if key not in _CACHE:
+        if (tech == TECHNOLOGIES.get(tech.name)
+                and grid == tuple(logarithmic_ratio_grid())):
+            _CACHE[key] = load_technology(
+                str(CHARACTERIZED_DIR / f"{tech.name}.json"))
+        else:
+            _CACHE[key] = fit_technology(tech, list(grid))
+    return _CACHE[key]
 
 
 def clear_cache() -> None:
-    """Drop memoized characterizations (tests use this)."""
+    """Forget every characterized technology held in this process."""
     _CACHE.clear()
 
 

@@ -52,7 +52,7 @@ from ..core.models import (
 )
 from ..core.timing.analyzer import InputSpec, TimingResult
 from ..errors import ReproError, ServiceError
-from ..tech import CMOS3, NMOS4, Technology, Transition
+from ..tech import TECHNOLOGIES, Technology, Transition
 
 __all__ = [
     "AnalyzeRequest",
@@ -64,8 +64,6 @@ __all__ = [
     "encode_result",
     "parse_analyze_request",
 ]
-
-TECHNOLOGIES: Dict[str, Technology] = {"nmos4": NMOS4, "cmos3": CMOS3}
 
 MODELS = {
     "lumped-rc": LumpedRCModel,

@@ -1,5 +1,7 @@
 """Technology models: device parameters, capacitance rules, slope tables."""
 
+from typing import Dict
+
 from .parameters import (
     DeviceKind,
     DeviceParams,
@@ -18,6 +20,7 @@ from .tables import (
 from .nmos4 import NMOS4
 from .cmos3 import CMOS3
 from .io import (
+    CHARACTERIZED_DIR,
     load_technology,
     save_technology,
     technologies_equivalent,
@@ -25,7 +28,13 @@ from .io import (
     technology_to_dict,
 )
 
+#: The built-in technologies by name (the CLI's ``--tech``, the service's
+#: ``tech`` field).
+TECHNOLOGIES: Dict[str, Technology] = {"nmos4": NMOS4, "cmos3": CMOS3}
+
 __all__ = [
+    "CHARACTERIZED_DIR",
+    "TECHNOLOGIES",
     "load_technology",
     "save_technology",
     "technologies_equivalent",

@@ -8,8 +8,8 @@ static effective resistances, slope tables, and the geometry defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import pathlib
 from typing import Dict, Mapping
 
 from ..errors import TechnologyError
@@ -23,6 +23,11 @@ from .parameters import (
 from .tables import SlopeTableSet
 
 FORMAT_VERSION = 1
+
+#: Package data: the built-in technologies fitted on the default ratio
+#: grid, one ``NAME.json`` each, as ``repro-crystal characterize --tech
+#: NAME -o FILE`` writes them.
+CHARACTERIZED_DIR = pathlib.Path(__file__).resolve().parent / "characterized"
 
 
 def technology_to_dict(tech: Technology) -> dict:
@@ -96,11 +101,13 @@ def save_technology(tech: Technology, path: str) -> None:
 
 def load_technology(path: str) -> Technology:
     """Load a technology saved by :func:`save_technology`."""
-    with open(path) as handle:
-        try:
+    try:
+        with open(path) as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise TechnologyError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise TechnologyError(f"{path}: cannot read ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise TechnologyError(f"{path}: not valid JSON ({exc})") from exc
     return technology_from_dict(data)
 
 

@@ -1,17 +1,26 @@
 """Tests for the characterization engine (fits against the analog
 simulator — the slow part of the suite, kept to a coarse grid)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.models import SlopeModel, characterize_technology
+from repro.core.models import characterize
 from repro.core.models.characterize import (
     characterize_fixture,
-    clear_cache,
     fixtures_for,
     table_summary,
 )
 from repro.errors import TechnologyError
-from repro.tech import CMOS3, NMOS4, DeviceKind, Transition
+from repro.tech import (
+    CHARACTERIZED_DIR,
+    CMOS3,
+    NMOS4,
+    DeviceKind,
+    Transition,
+    load_technology,
+)
 from tests.conftest import TEST_RATIOS
 
 
@@ -91,6 +100,16 @@ class TestCharacterizedTechnology:
         other = characterize_technology(CMOS3, ratios=[0.1, 1.0])
         assert other is not cmos_char
 
+    def test_cache_keyed_on_content(self):
+        """A variant that keeps its name gets its own fit, not the memo
+        entry of the technology it was derived from."""
+        base = characterize_technology(CMOS3, ratios=[0.1, 1.0])
+        variant = characterize_technology(
+            dataclasses.replace(CMOS3, vdd=3.3), ratios=[0.1, 1.0])
+        assert variant is not base
+        assert variant.vdd == 3.3
+        assert variant.static_resistance != base.static_resistance
+
     def test_nmos_depletion_rise_slope_sensitive(self, nmos_char):
         """The nMOS rising output is release-timed: the node cannot rise
         until the pulldown's slowly falling gate lets go, so the delay
@@ -110,9 +129,43 @@ class TestCharacterizedTechnology:
         assert "NMOS_ENH" in text
 
     def test_summary_without_tables(self):
-        import dataclasses
         bare = dataclasses.replace(CMOS3, slope_tables=None)
         assert "no slope tables" in table_summary(bare)
+
+
+class _Fitted(Exception):
+    """Raised by the fixture measurement under :class:`TestShippedFits`."""
+
+
+class TestShippedFits:
+    """A built-in technology on the default grid loads its shipped fit
+    and simulates nothing; any other technology or grid is fitted."""
+
+    @pytest.fixture(autouse=True)
+    def no_fitting(self, monkeypatch):
+        def measure(*args):
+            raise _Fitted
+        monkeypatch.setattr(characterize, "_measure", measure)
+        # An empty memo of its own, so the session fixtures' fits survive.
+        monkeypatch.setattr(characterize, "_CACHE", {})
+
+    @pytest.mark.parametrize("base", [CMOS3, NMOS4], ids=["cmos3", "nmos4"])
+    def test_builtin_loads_shipped_fit(self, base):
+        shipped = load_technology(str(CHARACTERIZED_DIR /
+                                      f"{base.name}.json"))
+        assert characterize_technology(base) == shipped
+
+    def test_near_miss_fits(self):
+        characterize_technology(CMOS3)  # the shipped fit, now memoized
+        with pytest.raises(_Fitted):
+            characterize_technology(dataclasses.replace(CMOS3, vdd=3.3))
+        with pytest.raises(_Fitted):
+            characterize_technology(CMOS3, ratios=[0.1, 1.0])
+
+    def test_missing_shipped_file_is_named(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(characterize, "CHARACTERIZED_DIR", tmp_path)
+        with pytest.raises(TechnologyError, match=r"cmos3\.json"):
+            characterize_technology(CMOS3)
 
 
 class TestSlopeModelAccuracy:

@@ -6,7 +6,13 @@ import pathlib
 import pytest
 
 from repro.cli import _parse_set, _parse_timing_input, main
+from repro.core.models import characterize
 from repro.errors import ReproError
+from repro.tech import (
+    CHARACTERIZED_DIR,
+    load_technology,
+    technologies_equivalent,
+)
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -315,16 +321,27 @@ class TestHazardsCommand:
 
 
 class TestCharacterizeCommand:
-    def test_dump_tables(self, tmp_path, capsys):
-        out_file = tmp_path / "tables.json"
-        code = main(["characterize", "--tech", "cmos3",
-                     "-o", str(out_file)])
+    @pytest.mark.parametrize("name", ["cmos3", "nmos4"])
+    def test_dump_tables(self, name, tmp_path, capsys, monkeypatch):
+        """The staleness gate: a fresh fit written by the subcommand
+        matches the shipped file."""
+        # The subcommand must fit: with no memo and no shipped files to
+        # read, a lookup instead of a fit would fail here.
+        monkeypatch.setattr(characterize, "_CACHE", {})
+        monkeypatch.setattr(characterize, "CHARACTERIZED_DIR", tmp_path)
+        out_file = tmp_path / "written.json"
+        code = main(["characterize", "--tech", name, "-o", str(out_file)])
         out = capsys.readouterr().out
         assert code == 0
         assert "slope tables" in out
-        data = json.loads(out_file.read_text())
-        assert "tables" in data
-        assert data["source"] == "characterized:cmos3"
+        written = load_technology(str(out_file))
+        assert written.slope_tables.source == f"characterized:{name}"
+        shipped = CHARACTERIZED_DIR / f"{name}.json"
+        assert technologies_equivalent(
+            written, load_technology(str(shipped)), rel_tol=1e-9), (
+            f"{shipped.name} is stale; regenerate it with: PYTHONPATH=src "
+            f"python -m repro.cli characterize --tech {name} "
+            f"-o src/repro/tech/characterized/{name}.json")
 
 
 class TestArgumentChecks:

@@ -15,7 +15,10 @@ on inverter chains and a pass-transistor chain, and compare the
 
 The analog transients make that full check ``slow``.  A tier-1 class
 re-runs only the switch-level side and measures it against the stored
-reference delays, so any change to the model numerics fails fast.
+reference delays, so any change to the model numerics fails fast.  A
+second tier-1 class rebuilds T3's per-model error summary over the 21
+T1/T2 cells from the shipped fits and the analog delays committed in
+``benchmarks/suite/reference_delays.json``.
 
 Goldens were recorded with the test suite's coarse characterization grid
 (``TEST_RATIOS`` in conftest), which is deterministic.  After an
@@ -26,14 +29,26 @@ Goldens were recorded with the test suite's coarse characterization grid
 
 import json
 import pathlib
+import statistics
 
 import pytest
 
-from repro.bench import cmos_scenarios, model_delay, reference_delay
-from repro.core.models import SlopeModel
+from repro.bench import (cmos_scenarios, model_delay, nmos_scenarios,
+                         reference_delay)
+from repro.core.models import (LumpedRCModel, RCTreeModel, SlopeModel,
+                               characterize_technology)
+from repro.tech import CMOS3, NMOS4
 
 GOLDEN_FILE = pathlib.Path(__file__).parent / "goldens" / \
     "golden_delays.json"
+
+REFERENCE_DELAYS = (pathlib.Path(__file__).parent.parent / "benchmarks" /
+                    "suite" / "reference_delays.json")
+
+#: T3: (mean, max) |error| in percent of each model over the 21 T1/T2
+#: cells, with the shipped fits of cmos3 and nmos4.
+T3_SUMMARY = {LumpedRCModel: (28.78, 93.36), RCTreeModel: (18.79, 48.65),
+              SlopeModel: (7.46, 31.52)}
 
 #: Scenarios under the golden gate: the paper's bread-and-butter cases.
 SCENARIO_NAMES = ["inverter+100fF", "inv-chain-4", "inv-chain-4-fo4",
@@ -96,6 +111,36 @@ class TestStoredGoldens:
         assert abs(error - golden["rel_error"]) <= MAX_DRIFT, (
             f"{name}: slope-model error drifted from the committed golden "
             f"({golden['rel_error']:+.1%} → {error:+.1%})")
+
+
+class TestT3Summary:
+    """T3's per-model summary against the committed analog delays, no
+    transient run."""
+
+    @pytest.fixture(scope="class")
+    def errors(self):
+        references = json.loads(REFERENCE_DELAYS.read_text())["delays"]
+        cells = ([("cmos3", s) for s in
+                  cmos_scenarios(characterize_technology(CMOS3))]
+                 + [("nmos4", s) for s in
+                    nmos_scenarios(characterize_technology(NMOS4))])
+        errors = {model: [] for model in T3_SUMMARY}
+        for tech, scenario in cells:
+            reference = references[f"{tech}/{scenario.name}"]
+            for model in T3_SUMMARY:
+                delay, _ = model_delay(scenario, model())
+                errors[model].append(100.0 * abs(delay - reference)
+                                     / reference)
+        return errors
+
+    @pytest.mark.parametrize("model", list(T3_SUMMARY),
+                             ids=lambda model: model.__name__)
+    def test_model_error_summary(self, model, errors):
+        mean, worst = T3_SUMMARY[model]
+        assert len(errors[model]) == 21
+        assert statistics.fmean(errors[model]) == pytest.approx(mean,
+                                                                abs=0.01)
+        assert max(errors[model]) == pytest.approx(worst, abs=0.01)
 
 
 @pytest.mark.slow

@@ -1,13 +1,17 @@
 """Tests for technology save/load."""
 
+import fnmatch
 import json
+import pathlib
 
 import pytest
 
 from repro.errors import TechnologyError
 from repro.tech import (
+    CHARACTERIZED_DIR,
     CMOS3,
     NMOS4,
+    TECHNOLOGIES,
     load_technology,
     save_technology,
     technologies_equivalent,
@@ -69,6 +73,23 @@ class TestErrors:
         path.write_text("not json {")
         with pytest.raises(TechnologyError):
             load_technology(str(path))
+
+
+class TestShippedFits:
+    def test_declared_as_package_data(self):
+        """Without the pyproject declaration, wheels and installs ship
+        no JSON and every characterized entry point fails."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        globs = config["tool"]["setuptools"]["package-data"]["repro.tech"]
+        shipped = sorted(CHARACTERIZED_DIR.glob("*.json"))
+        assert {path.stem for path in shipped} == set(TECHNOLOGIES)
+        for path in shipped:
+            relative = path.relative_to(CHARACTERIZED_DIR.parent).as_posix()
+            assert any(fnmatch.fnmatch(relative, glob) for glob in globs), (
+                f"{relative} matches no [tool.setuptools.package-data] "
+                f"glob of repro.tech in pyproject.toml")
 
 
 class TestEquivalence:
