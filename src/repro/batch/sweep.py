@@ -9,7 +9,7 @@ trees, candidate tables, and the delay-model memo built for the first
 scenario are reused by all the rest — marginal model evaluations per
 scenario approach zero (DESIGN.md §5b).  The results are bit-identical
 to running each vector through a fresh analyzer; the differential tests
-and ``benchmarks/bench_batch_sweep.py`` lock that equivalence down.
+and ``tests/test_batch_sweep.py`` lock that equivalence down.
 """
 
 from __future__ import annotations

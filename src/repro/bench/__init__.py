@@ -1,16 +1,11 @@
 """Benchmark harness: scenarios, comparison runner, table formatting."""
 
 from .harness import (
-    BatchRuntimeRow,
     ComparisonRow,
-    DeltaSweepRow,
     ErrorSummary,
     ModelEstimate,
     RuntimeRow,
     Scenario,
-    TraceOverheadRow,
-    batch_runtime_comparison,
-    delta_sweep_comparison,
     model_delay,
     reference_delay,
     run_scenario,
@@ -18,7 +13,6 @@ from .harness import (
     runtime_comparison,
     summarize_errors,
     time_callable,
-    trace_overhead_comparison,
 )
 from .scenarios import cmos_scenarios, nmos_scenarios
 from .tables import (
@@ -29,11 +23,7 @@ from .tables import (
 )
 
 __all__ = [
-    "BatchRuntimeRow",
-    "batch_runtime_comparison",
     "ComparisonRow",
-    "DeltaSweepRow",
-    "delta_sweep_comparison",
     "ErrorSummary",
     "ModelEstimate",
     "RuntimeRow",
@@ -45,8 +35,6 @@ __all__ = [
     "runtime_comparison",
     "summarize_errors",
     "time_callable",
-    "TraceOverheadRow",
-    "trace_overhead_comparison",
     "cmos_scenarios",
     "nmos_scenarios",
     "format_comparison_table",

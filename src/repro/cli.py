@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import pathlib
+import math
 import sys
 from typing import List, Optional
 
@@ -368,31 +368,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print()
 
 
-def cmd_trend(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from .trace.trends import (HISTORY_FILE, TrendEntry, collect_metrics,
-                               format_trend_report, load_history,
-                               record_entry)
-
-    bench_dir = pathlib.Path(args.bench_dir)
-    metrics = collect_metrics(bench_dir)
-    if not metrics:
-        raise ReproError(f"no BENCH_*.json metrics under {bench_dir}")
-    history_path = (pathlib.Path(args.history) if args.history
-                    else bench_dir / HISTORY_FILE)
-    history = load_history(history_path)
-    previous = history[-1] if history else None
-    if args.no_record:
-        current = TrendEntry(
-            timestamp=_time.strftime("%Y-%m-%dT%H:%M:%S"),
-            metrics=metrics)
-    else:
-        current = record_entry(history_path, metrics)
-    print(format_trend_report(previous, current, show_all=args.all))
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service.daemon import ServiceConfig, serve
 
@@ -402,8 +377,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.queue_limit < 1:
         raise ReproError(f"--queue-limit must be at least 1, "
                          f"got {args.queue_limit}")
-    if args.timeout <= 0:
-        raise ReproError(f"--timeout must be positive, got {args.timeout}")
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise ReproError(f"--timeout must be a positive number of seconds, "
+                         f"got {args.timeout}")
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 0..65535, got {args.port}")
     return serve(ServiceConfig(
         host=args.host, port=args.port, pool_size=args.pool_size,
         queue_limit=args.queue_limit, timeout=args.timeout,
@@ -570,23 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print verify_* perf counters")
     add_tracing(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "trend",
-        help="cross-run bench trend: deltas of every BENCH_*.json metric "
-             "vs the previous recorded snapshot")
-    p.add_argument("--bench-dir", default="benchmarks", metavar="DIR",
-                   help="directory holding BENCH_*.json baselines "
-                        "(default: benchmarks)")
-    p.add_argument("--history", metavar="FILE",
-                   help="history file (default: DIR/BENCH_history.jsonl)")
-    p.add_argument("--no-record", action="store_true",
-                   help="report without appending a snapshot to the "
-                        "history file")
-    p.add_argument("--all", action="store_true",
-                   help="list unchanged metrics too (default: fold "
-                        "changes under 0.5%% away)")
-    p.set_defaults(func=cmd_trend)
 
     p = sub.add_parser(
         "serve",

@@ -608,14 +608,14 @@ class TimingAnalyzer:
 
         Results are bit-identical to running each scenario through a
         fresh analyzer (the differential tests and
-        ``benchmarks/bench_batch_sweep.py`` assert this).
+        ``tests/test_batch_sweep.py`` assert this).
 
         ``delta=True`` routes every scenario through
         :meth:`analyze_delta`: consecutive vectors reuse each other's
         committed arrivals outside the changed inputs' dirty cone, on
         top of the cache amortization — the fewer inputs change between
         neighbours, the fewer stages are visited (see
-        ``benchmarks/bench_delta_sweep.py``).  Equally bit-identical.
+        ``tests/test_delta_sweep.py``).  Equally bit-identical.
         """
         results: List[TimingResult] = []
         with self.perf.timer("analyze_batch"):

@@ -82,7 +82,7 @@ class MeasurementError(AnalysisError):
 
 
 class TraceError(ReproError):
-    """A trace file or bench-trend artifact is malformed or unreadable."""
+    """A trace file is malformed or unwritable."""
 
 
 class ServiceError(ReproError):

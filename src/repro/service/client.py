@@ -1,9 +1,9 @@
 """Stdlib client for the timing daemon (``http.client``, no deps).
 
 Used by the service tests, the smoke gate (``make service-smoke``) and
-``benchmarks/bench_service.py``; also a reasonable template for real
-integrations — the whole protocol is "POST one JSON object, read one
-JSON object back" (see ``protocol.py`` for the shapes).
+the benchmark suite's ``rca32_service`` workload; also a reasonable
+template for real integrations — the whole protocol is "POST one JSON
+object, read one JSON object back" (see ``protocol.py`` for the shapes).
 
 .. code-block:: python
 

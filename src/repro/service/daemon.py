@@ -29,11 +29,11 @@ Architecture (DESIGN.md §10):
   then the server closes and — when ``--trace`` is active — the whole
   serving session is written out as one Chrome trace.
 
-Results are **bit-identical** to a cold per-request process: the
+Results are **bit-identical** to a fresh analyzer per request: the
 engine's delta/batch invariants guarantee the arrivals, and the JSON
 layer's shortest-round-trip floats guarantee the wire (see
-``protocol.py``).  ``make service-smoke`` and
-``benchmarks/bench_service.py`` both assert exact equality.
+``protocol.py``).  ``make service-smoke`` and ``tests/test_service.py``
+both assert exact equality.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .protocol import (AnalyzeRequest, decode_body, encode_result,
 __all__ = ["ServiceConfig", "TimingService", "run", "serve"]
 
 _MAX_BODY = 32 * 1024 * 1024  # 32 MiB request ceiling
+_READ_TIMEOUT = 10.0  # seconds to receive a whole request
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
@@ -91,6 +92,50 @@ class _Job:
         self.key = request.pool_key()
         self.future = future
         self.abandoned = False
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line.  A line past the stream's 64 KiB limit
+    is the client's fault, not an internal error."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ServiceError("request line or header line too long") from None
+
+
+async def _read_request(reader: asyncio.StreamReader
+                        ) -> Tuple[str, str, bytes]:
+    """Request line, headers and body; a framing fault raises a
+    :class:`ServiceError` carrying its status."""
+    parts = (await _read_line(reader)).decode("latin-1").split()
+    if len(parts) < 2:
+        raise ServiceError("malformed request line")
+    method, path = parts[0].upper(), parts[1]
+
+    headers: Dict[str, str] = {}
+    while True:
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if b":" in line:
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        raise ServiceError("bad Content-Length") from None
+    if length < 0:
+        raise ServiceError(f"negative Content-Length {length}")
+    if length > _MAX_BODY:
+        raise ServiceError(f"request body exceeds {_MAX_BODY} bytes",
+                           status=413)
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ServiceError(
+            f"request body ended after {len(exc.partial)} of "
+            f"{length} bytes") from None
+    return method, path, body
 
 
 class TimingService:
@@ -289,30 +334,13 @@ class TimingService:
                               ) -> Tuple[int, Dict[str, object]]:
         self.perf.incr("service_requests")
         try:
-            request_line = await asyncio.wait_for(reader.readline(),
-                                                  timeout=10.0)
+            method, path, body = await asyncio.wait_for(
+                _read_request(reader), timeout=_READ_TIMEOUT)
         except asyncio.TimeoutError:
-            return 408, {"error": "timed out reading request line"}
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, path = parts[0].upper(), parts[1]
-
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if b":" in line:
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            return 400, {"error": "bad Content-Length"}
-        if length > _MAX_BODY:
-            return 413, {"error": f"request body exceeds {_MAX_BODY} bytes"}
-        body = await reader.readexactly(length) if length else b""
+            return 408, {"error": f"timed out reading the request "
+                                  f"({_READ_TIMEOUT:g}s)"}
+        except ServiceError as exc:
+            return exc.status, {"error": str(exc)}
 
         with trace_spans.span("service_request", method=method, path=path):
             return await self._route(method, path, body)
@@ -423,21 +451,11 @@ def serve(config: ServiceConfig) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """``python -m repro.service.daemon`` — minimal standalone launcher."""
-    import argparse
+    """``python -m repro.service.daemon`` — ``repro-crystal serve``, flag
+    checks included."""
+    from ..cli import main as cli_main
 
-    parser = argparse.ArgumentParser(prog="repro-service")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8351)
-    parser.add_argument("--pool-size", type=int, default=4)
-    parser.add_argument("--queue-limit", type=int, default=64)
-    parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--trace", metavar="FILE")
-    args = parser.parse_args(argv)
-    return serve(ServiceConfig(
-        host=args.host, port=args.port, pool_size=args.pool_size,
-        queue_limit=args.queue_limit, timeout=args.timeout,
-        trace=args.trace))
+    return cli_main(["serve", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,7 @@ Exactness: times and slopes travel as JSON numbers serialized with
 ``repr``-style shortest round-trip formatting (Python's ``json`` module
 default), so the client decodes the daemon's arrivals **bit-identical**
 to what the engine computed — the service smoke test and
-``benchmarks/bench_service.py`` both assert equality, not approx.
+``tests/test_service.py`` both assert equality, not approx.
 
 The pool key (:meth:`AnalyzeRequest.pool_key`) hashes everything that
 shapes the analyzer — netlist text, technology, model, slope quantum,

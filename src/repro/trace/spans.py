@@ -16,8 +16,8 @@ Every instrumented call site goes through the module-level
 :func:`span` / :func:`instant` helpers, which read the process-global
 active tracer.  When no tracer is active (the default), a call site
 costs one global read, one ``None`` check, and a shared no-op context
-manager — ``benchmarks/bench_trace_overhead.py`` keeps that under the
-2 % budget on the rca32 analysis.  Spans ride the same run lifecycle as
+manager — ``tests/test_trace.py`` keeps that under the 2 % budget on
+an rca32 sweep.  Spans ride the same run lifecycle as
 :class:`~repro.perf.PerfCounters`: the analyzer opens its top-level span
 where it creates the run's counters and closes it in the same ``finally``
 that merges them, so a run that dies mid-analysis still leaves a
@@ -228,7 +228,7 @@ def disabled_site_cost(iterations: int = 200_000) -> float:
 
     Times the exact pattern the hot paths execute when no tracer is
     active (``with span(...):`` hitting the shared null scope), so the
-    overhead bench can turn a span count into a deterministic disabled-
+    overhead gate can turn a span count into a deterministic disabled-
     overhead estimate instead of gating on noisy wall-clock A/B runs.
     """
     assert _ACTIVE is None, "measure disabled cost with tracing off"

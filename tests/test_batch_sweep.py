@@ -413,3 +413,27 @@ class TestAnalyzeMany:
         a = Vector("x", {"a": InputSpec()})
         b = Vector("x", {"a": InputSpec()})
         assert a == b
+
+
+def test_shared_analyzer_evals_pinned(cmos3_shipped):
+    """One shared analyzer over 64 random rca32 vectors against a fresh
+    analyzer per vector: the shared side's model evaluations are pinned
+    exactly, and must stay at least 5x fewer per scenario with
+    bit-identical arrivals."""
+    network = ripple_carry_adder(cmos3_shipped, 32)
+    vectors = [vector.inputs for vector in RandomVectors(
+        input_names=adder_input_names(32), count=64, seed=1984,
+        span=2e-9, slope=0.3e-9)]
+    shared = TimingAnalyzer(network).analyze_many(vectors)
+    fresh = [TimingAnalyzer(network).analyze(inputs) for inputs in vectors]
+    shared_evals = sum(result.perf.get("model_evals") for result in shared)
+    fresh_evals = sum(result.perf.get("model_evals") for result in fresh)
+    assert (shared_evals, fresh_evals) == (687, 41889)
+    assert fresh_evals >= 5 * shared_evals
+
+    def answers(result):
+        return {event: (arrival.time, arrival.slope, arrival.cause)
+                for event, arrival in result.arrivals.items()}
+
+    assert all(answers(one) == answers(other)
+               for one, other in zip(shared, fresh))

@@ -646,101 +646,3 @@ class TestReplayFailurePaths:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read vector file" in err
-
-
-class TestTrendFailurePaths:
-    """``trend`` over corrupt artifacts: exit 2, path named, no
-    traceback."""
-
-    def _bench(self, tmp_path):
-        bench = tmp_path / "benchmarks"
-        bench.mkdir(exist_ok=True)
-        (bench / "BENCH_demo.json").write_text(json.dumps({"speed": 1.0}))
-        return bench
-
-    def test_corrupt_bench_json(self, tmp_path, capsys):
-        bench = self._bench(tmp_path)
-        (bench / "BENCH_demo.json").write_text("{oops")
-        code = main(["trend", "--bench-dir", str(bench)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "cannot parse" in err
-        assert "BENCH_demo.json" in err
-
-    def test_corrupt_history_line(self, tmp_path, capsys):
-        bench = self._bench(tmp_path)
-        history = bench / "BENCH_history.jsonl"
-        history.write_text('{"timestamp": "t", "metrics": {}}\n{broken\n')
-        code = main(["trend", "--bench-dir", str(bench)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "bad history line" in err
-        assert "BENCH_history.jsonl:2" in err
-
-    def test_history_line_with_bad_metrics(self, tmp_path, capsys):
-        bench = self._bench(tmp_path)
-        history = bench / "BENCH_history.jsonl"
-        history.write_text('{"timestamp": "t", "metrics": {"x": "nan?"}}\n')
-        # a string metric that does not parse as float
-        history.write_text(
-            '{"timestamp": "t", "metrics": {"x": "not-a-number"}}\n')
-        code = main(["trend", "--bench-dir", str(bench)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "bad history line" in err
-
-    def test_history_unwritable(self, tmp_path, capsys):
-        bench = self._bench(tmp_path)
-        code = main(["trend", "--bench-dir", str(bench),
-                     "--history", str(tmp_path / "no_dir" / "h.jsonl")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "cannot write history file" in err
-
-
-class TestTrendCommand:
-    def _bench_dir(self, tmp_path, value):
-        bench = tmp_path / "benchmarks"
-        bench.mkdir(exist_ok=True)
-        (bench / "BENCH_demo.json").write_text(
-            json.dumps({"speed": value, "nested": {"count": 3}}))
-        return bench
-
-    def test_baseline_then_delta(self, tmp_path, capsys):
-        bench = self._bench_dir(tmp_path, 2.0)
-        code = main(["trend", "--bench-dir", str(bench)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "baseline recorded" in out
-        assert (bench / "BENCH_history.jsonl").exists()
-
-        self._bench_dir(tmp_path, 3.0)  # speed 2.0 → 3.0
-        code = main(["trend", "--bench-dir", str(bench)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "demo.speed" in out
-        assert "+50.0%" in out
-        history = (bench / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(history) == 2
-
-    def test_no_record_leaves_history_untouched(self, tmp_path, capsys):
-        bench = self._bench_dir(tmp_path, 2.0)
-        code = main(["trend", "--bench-dir", str(bench), "--no-record"])
-        assert code == 0
-        assert not (bench / "BENCH_history.jsonl").exists()
-        capsys.readouterr()
-
-    def test_missing_dir_is_error(self, tmp_path, capsys):
-        code = main(["trend", "--bench-dir", str(tmp_path / "nope")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_real_bench_dir_parses(self, capsys, tmp_path):
-        # the repo's own BENCH_*.json baselines must always flatten
-        bench = pathlib.Path(__file__).parent.parent / "benchmarks"
-        history = tmp_path / "history.jsonl"
-        code = main(["trend", "--bench-dir", str(bench),
-                     "--history", str(history), "--no-record"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "baseline recorded" in out

@@ -379,3 +379,20 @@ class TestCliDeltaFlags:
             main(["sweep", nand_file, "--tech", "cmos3",
                   "--no-characterize", "--input", "b=0",
                   "--sweep", "a=0,200p", "--order", "sideways"])
+
+
+def test_delta_sweep_visits_pinned(cmos3_shipped, rca32_gray_inputs):
+    """Dirty-cone re-analysis against a full worklist per scenario over
+    64 Gray-ordered rca32 vectors on six high-order axes: the delta
+    side's stage visits are pinned exactly, and must stay at least 3x
+    fewer with bit-identical arrivals."""
+    network = ripple_carry_adder(cmos3_shipped, 32)
+    vectors = rca32_gray_inputs(("a16", "b18", "a21", "b24", "a27", "b31"))
+    full = TimingAnalyzer(network).analyze_many(vectors)
+    delta = TimingAnalyzer(network).analyze_many(vectors, delta=True)
+    delta_visits = sum(result.perf.get("stage_visits") for result in delta)
+    full_visits = sum(result.perf.get("stage_visits") for result in full)
+    assert (delta_visits, full_visits) == (2251, 22528)
+    assert full_visits >= 3 * delta_visits
+    for position, (result, reference) in enumerate(zip(delta, full)):
+        assert_identical(result, reference, position)

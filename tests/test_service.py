@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 from unittest import mock
@@ -18,6 +19,7 @@ from unittest import mock
 import pytest
 
 from repro.batch.vectors import Vector
+from repro.circuits import adder_input_names, ripple_carry_adder
 from repro.core.timing import TimingAnalyzer
 from repro.core.timing.analyzer import InputSpec
 from repro.errors import ServiceError
@@ -29,6 +31,7 @@ from repro.service import (
     TimingService,
     parse_analyze_request,
 )
+from repro.service import daemon
 from repro.service.protocol import encode_inputs
 from repro.tech import CMOS3, Transition
 
@@ -50,6 +53,35 @@ C out gnd 50
 
 def _vec(a=0.0, b=0.0, slope=0.2e-9):
     return {"a": InputSpec(a, a, slope), "b": InputSpec(b, b, slope)}
+
+
+def _wire_arrivals(result):
+    """A fresh analysis's arrivals keyed the way the client decodes them."""
+    return {(event.node,
+             "rise" if event.transition is Transition.RISE else "fall"):
+            (arrival.time, arrival.slope)
+            for event, arrival in result.arrivals.items()}
+
+
+def _raw_reply(address, raw, close_write=True):
+    """Send raw request bytes and return the reply's (status, error).
+    With ``close_write`` the client half-closes after sending, so the
+    daemon reads end of stream; otherwise the connection stays open."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(raw)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed with request bytes unread
+                break
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]
 
 
 class _ServiceThread:
@@ -231,12 +263,8 @@ class TestServiceEndToEnd:
         for (label, inputs), analyzed in zip(vectors, served):
             assert analyzed.label == label
             reference = TimingAnalyzer(network).analyze(inputs)
-            expected = {}
-            for event, arrival in reference.arrivals.items():
-                edge = ("rise" if event.transition is Transition.RISE
-                        else "fall")
-                expected[(event.node, edge)] = (arrival.time, arrival.slope)
-            assert analyzed.arrivals == expected  # exact, not approx
+            # exact, not approx
+            assert analyzed.arrivals == _wire_arrivals(reference)
 
     def test_repeat_requests_hit_pool(self, service):
         client = service.client
@@ -359,6 +387,35 @@ class TestServiceEndToEnd:
         assert response.status == 400
         assert field in reply
         assert "Infinity" not in reply
+
+
+class TestRequestFraming:
+    """A malformed or stalled HTTP request gets a specific 4xx, never a
+    500, and never holds its connection past the read deadline."""
+
+    @pytest.mark.parametrize("raw, needle", [
+        (b"POST /analyze HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         "negative Content-Length -5"),
+        (b"POST /analyze HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+         "request body ended after 2 of 100 bytes"),
+        (b"POST /analyze HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+         "request line or header line too long"),
+    ], ids=["negative-length", "short-body", "long-header-line"])
+    def test_bad_framing_is_400(self, service, raw, needle):
+        status, error = _raw_reply(service.service.address, raw)
+        assert (status, error) == (400, needle)
+
+    @pytest.mark.parametrize("raw", [
+        b"POST /analyze HTTP/1.1\r\n",
+        b"POST /analyze HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+    ], ids=["request-line-only", "stalled-body"])
+    def test_stalled_request_is_408(self, service, raw):
+        # One deadline covers the request line, the headers and the body.
+        with mock.patch.object(daemon, "_READ_TIMEOUT", 0.5):
+            status, error = _raw_reply(service.service.address, raw,
+                                       close_write=False)
+        assert status == 408
+        assert "timed out reading the request" in error
 
 
 class TestBackpressureAndTimeouts:
@@ -534,23 +591,55 @@ class TestCoalescing:
             for index, served in enumerate(outcomes):
                 reference = TimingAnalyzer(network).analyze(
                     _vec(a=index * 1e-10))
-                expected = {}
-                for event, arrival in reference.arrivals.items():
-                    edge = ("rise"
-                            if event.transition is Transition.RISE
-                            else "fall")
-                    expected[(event.node, edge)] = (arrival.time,
-                                                    arrival.slope)
-                assert served[0].arrivals == expected
+                assert served[0].arrivals == _wire_arrivals(reference)
+
+
+class TestWarmService:
+    def test_warm_evals_pinned(self, service):
+        """32 single-vector rca32 requests from one sequential client:
+        the warm daemon's model evaluations are pinned exactly, and must
+        stay at least 3x fewer than a fresh analyzer per request, with
+        bit-identical arrivals on the wire."""
+        names = adder_input_names(32)
+        requests = []
+        for index in range(32):
+            # Every 7th input arrives late, the pattern shifted by one per
+            # request, so neighbouring requests differ in a few inputs.
+            arrivals = [0.4e-9 if (index + offset) % 7 == 0 else 0.0
+                        for offset in range(len(names))]
+            requests.append({name: InputSpec(at, at, 0.2e-9)
+                             for name, at in zip(names, arrivals)})
+        netlist = sim_format.dumps(ripple_carry_adder(CMOS3, 32))
+        client = service.client
+        served = [client.analyze(netlist, [(f"q{index}", inputs)],
+                                 characterize=False)[0]
+                  for index, inputs in enumerate(requests)]
+        warm = client.metrics()["perf"]["counters"]["model_evals"]
+
+        network = sim_format.loads(netlist, CMOS3)
+        cold = 0
+        for inputs, analyzed in zip(requests, served):
+            reference = TimingAnalyzer(network).analyze(inputs)
+            cold += reference.perf.get("model_evals")
+            assert analyzed.arrivals == _wire_arrivals(reference)
+        assert (warm, cold) == (753, 24096)
+        assert cold >= 3 * warm
 
 
 class TestServeCLI:
     def test_serve_flag_validation(self, capsys):
         from repro.cli import main
-        for argv in (["serve", "--pool-size", "0"],
-                     ["serve", "--queue-limit", "0"],
-                     ["serve", "--timeout", "0"]):
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code == 2
-            assert "error:" in err
+        # A value that slipped through would start a daemon: fail instead.
+        with mock.patch.object(daemon, "serve",
+                               side_effect=AssertionError("daemon started")):
+            for argv in (["serve", "--pool-size", "0"],
+                         ["serve", "--queue-limit", "0"],
+                         ["serve", "--timeout", "0"],
+                         ["serve", "--timeout", "nan"],
+                         ["serve", "--timeout", "inf"],
+                         ["serve", "--port", "70000"]):
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code == 2
+                assert err.startswith("error: " + argv[1])
+                assert err.count("\n") == 1

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.circuits import decoder, ripple_carry_adder
+from repro.core.models import characterize_technology
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.core.timing.paths import compile_template, enumerate_paths
 from repro.core.timing.stage_iso import stage_signature, translate_path
@@ -154,11 +155,13 @@ def test_dec5_shares_one_class_per_gate_shape():
     (lambda: ripple_carry_adder(CMOS3, 32),
      (352, 28, 5984, 753, 42, 310, 2259)),
     (lambda: decoder(CMOS3, 5), (69, 26, 7434, 230, 66, 40, 1348)),
-], ids=["rca32", "dec5"])
+    (lambda: ripple_carry_adder(characterize_technology(CMOS3), 32),
+     (352, 28, 5984, 654, 42, 269, 1962)),
+], ids=["rca32", "dec5", "rca32-characterized"])
 def test_cold_analysis_counters_pinned(build, counts):
-    """Exact work of one cold analysis on analytic CMOS3 with every input
-    at 0: a change to sharing, enumeration, templates or batching moves
-    one of these."""
+    """Exact work of one cold analysis with every input at 0, on analytic
+    CMOS3 and on the shipped characterized CMOS3: a change to sharing,
+    enumeration, templates or batching moves one of these."""
     network = build()
     result = TimingAnalyzer(network).analyze(
         {node: 0.0 for node in _input_names(network)})

@@ -2,16 +2,17 @@
 
 Covers the tracer core (nesting, parent links, balance under
 exceptions), the Chrome trace_event exporter and its validator, the
-bench-trend data layer, and the engine integration rules the design
-pins down: spans never leak across scenarios and the delta counters
-reset exactly where DESIGN.md §5e says.
+engine integration rules the design pins down (spans never leak across
+scenarios and the delta counters reset exactly where DESIGN.md §5e
+says), and the budget for span sites left in the hot paths (§7b).
 """
 
 import json
+import time
 
 import pytest
 
-from repro.circuits import inverter_chain
+from repro.circuits import inverter_chain, ripple_carry_adder
 from repro.core.timing import TimingAnalyzer
 from repro.errors import TraceError
 from repro.tech import CMOS3
@@ -20,9 +21,6 @@ from repro.trace.export import (aggregate_spans, chrome_trace_events,
                                 format_trace_summary, validate_trace,
                                 validate_trace_file, write_chrome_trace)
 from repro.trace.spans import NULL_SCOPE, SpanRecord, Tracer
-from repro.trace.trends import (TrendEntry, collect_metrics, flatten_numeric,
-                                format_trend_report, load_history,
-                                record_entry)
 
 
 @pytest.fixture
@@ -180,65 +178,6 @@ class TestChromeExport:
         assert "2 event(s) from 1 process(es)" in table
 
 
-class TestTrends:
-    def test_flatten_numeric(self):
-        flat = flatten_numeric({
-            "a": 1, "b": {"c": 2.5, "identical": True},
-            "name": "skipped", "list": [1, 2],
-            "history": {"dropped": 9},
-        })
-        assert flat == {"a": 1.0, "b.c": 2.5, "b.identical": 1.0}
-
-    def test_collect_metrics_prefixes_bench_names(self, tmp_path):
-        (tmp_path / "BENCH_alpha.json").write_text(
-            json.dumps({"speed": 2.0, "nested": {"n": 3},
-                        "history": [{"speed": 1.0}]}))
-        (tmp_path / "BENCH_beta.json").write_text(json.dumps({"x": 1}))
-        metrics = collect_metrics(tmp_path)
-        assert metrics == {"alpha.speed": 2.0, "alpha.nested.n": 3.0,
-                           "beta.x": 1.0}
-
-    def test_collect_metrics_errors(self, tmp_path):
-        with pytest.raises(TraceError, match="does not exist"):
-            collect_metrics(tmp_path / "missing")
-        (tmp_path / "BENCH_bad.json").write_text("{not json")
-        with pytest.raises(TraceError, match="cannot parse"):
-            collect_metrics(tmp_path)
-
-    def test_history_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        assert load_history(path) == []
-        record_entry(path, {"m": 1.0}, timestamp="t1")
-        record_entry(path, {"m": 2.0}, timestamp="t2")
-        entries = load_history(path)
-        assert [e.timestamp for e in entries] == ["t1", "t2"]
-        assert entries[1].metrics == {"m": 2.0}
-        assert len(path.read_text().splitlines()) == 2  # append-only
-
-    def test_history_rejects_bad_line(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        path.write_text("{broken\n")
-        with pytest.raises(TraceError, match="bad history line"):
-            load_history(path)
-
-    def test_report_baseline(self):
-        report = format_trend_report(
-            None, TrendEntry("t1", {"a.x": 1.0, "a.y": 2.0}))
-        assert "baseline recorded" in report
-        assert "2 metric(s)" in report
-
-    def test_report_deltas_new_and_gone(self):
-        previous = TrendEntry("t1", {"same": 5.0, "up": 10.0, "gone": 1.0})
-        current = TrendEntry("t2", {"same": 5.0, "up": 15.0, "fresh": 3.0})
-        report = format_trend_report(previous, current)
-        assert "+50.0%" in report
-        assert "new" in report and "gone" in report
-        # unchanged metric folded away unless --all
-        assert "1 metric(s) within" in report
-        assert "same" in format_trend_report(previous, current,
-                                             show_all=True)
-
-
 class TestEngineIntegration:
     """The DESIGN.md §5e / §7 rules: spans follow the run lifecycle and
     the delta counters reset exactly at invalidate_caches."""
@@ -314,3 +253,23 @@ class TestEngineIntegration:
         first_sids = {r.sid for r in tracer.records[:first]}
         for rec in second:
             assert rec.parent == -1 or rec.parent not in first_sids
+
+
+def test_disabled_span_sites_under_budget(cmos3_shipped, rca32_gray_inputs):
+    """Disabled tracing costs under 2% of an untraced rca32 sweep of 16
+    Gray-ordered vectors.  A wall-clock A/B cannot resolve 2%, so the
+    cost is estimated: each record of the traced run is one disabled site
+    in the untraced run, at the measured per-site cost.  The record count
+    is pinned exactly."""
+    network = ripple_carry_adder(cmos3_shipped, 32)
+    vectors = rca32_gray_inputs(("a7", "b13", "a21", "b27"))
+    start = time.perf_counter()
+    TimingAnalyzer(network).analyze_many(vectors)
+    untraced = time.perf_counter() - start
+    tracer = Tracer()
+    with trace_spans.activate(tracer):
+        TimingAnalyzer(network).analyze_many(vectors)
+    assert len(tracer.records) == 6657
+    overhead = (len(tracer.records) * trace_spans.disabled_site_cost()
+                / untraced)
+    assert overhead < 0.02, f"disabled span sites cost {overhead:.2%}"
