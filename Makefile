@@ -70,3 +70,5 @@ bench:
 goldens:
 	PYTHONPATH=$(PYTHONPATH):. python tests/test_golden_reference.py \
 	          --regenerate
+	PYTHONPATH=$(PYTHONPATH):. python tests/test_engine_golden.py \
+	          --regenerate
