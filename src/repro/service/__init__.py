@@ -13,7 +13,6 @@ shapes live in :mod:`repro.service.protocol`, the stdlib client in
 """
 
 from .client import AnalyzedVector, ServiceClient, wait_until_ready
-from .daemon import ServiceConfig, TimingService, serve
 from .pool import AnalyzerPool, PoolEntry
 from .protocol import (
     AnalyzeRequest,
@@ -29,12 +28,9 @@ __all__ = [
     "AnalyzeRequest",
     "PoolEntry",
     "ServiceClient",
-    "ServiceConfig",
-    "TimingService",
     "decode_arrivals",
     "encode_inputs",
     "encode_result",
     "parse_analyze_request",
-    "serve",
     "wait_until_ready",
 ]

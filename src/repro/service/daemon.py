@@ -44,6 +44,7 @@ import concurrent.futures
 import json
 import signal
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -316,6 +317,7 @@ class TimingService:
         try:
             status, payload = await self._handle_request(reader)
         except Exception as exc:  # never let a handler kill the loop
+            traceback.print_exception(exc)
             status, payload = 500, {"error": f"internal error: {exc}"}
         body = json.dumps(payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
@@ -401,6 +403,9 @@ class TimingService:
             self.perf.incr("service_errors")
             return 400, {"error": str(exc)}
         except Exception as exc:
+            # A 500 is a daemon bug: keep its traceback (``quiet``
+            # silences only the banners).
+            traceback.print_exception(exc)
             self.perf.incr("service_errors")
             return 500, {"error": f"internal error: {exc}"}
         self.perf.incr("service_completed")

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import pathlib
 import socket
+import subprocess
+import sys
 import threading
 import time
 from unittest import mock
@@ -24,14 +28,9 @@ from repro.core.timing import TimingAnalyzer
 from repro.core.timing.analyzer import InputSpec
 from repro.errors import ServiceError
 from repro.netlist import sim_format
-from repro.service import (
-    AnalyzerPool,
-    ServiceClient,
-    ServiceConfig,
-    TimingService,
-    parse_analyze_request,
-)
+from repro.service import AnalyzerPool, ServiceClient, parse_analyze_request
 from repro.service import daemon
+from repro.service.daemon import ServiceConfig, TimingService
 from repro.service.protocol import encode_inputs
 from repro.tech import CMOS3, Transition
 
@@ -536,6 +535,30 @@ class TestBackpressureAndTimeouts:
             assert not thread._thread.is_alive()  # closed by itself
 
 
+class TestInternalErrors:
+    """A 500 is a daemon bug, so its traceback must reach stderr, even on
+    a ``quiet`` daemon (quiet silences only the banners)."""
+
+    @pytest.mark.parametrize("target, name", [
+        (TimingAnalyzer, "analyze_many"),  # the dispatcher's future
+        (TimingService, "_route"),  # the connection handler
+    ], ids=["engine", "handler"])
+    def test_500_prints_its_traceback(self, capfd, target, name):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        with _ServiceThread() as thread, \
+                mock.patch.object(target, name, boom):
+            status, payload = thread.client._request("POST", "/analyze", {
+                "netlist": NAND_SIM, "characterize": False,
+                "vectors": [{"inputs": {"a": "0", "b": "0"}}]})
+        assert status == 500
+        assert payload["error"].endswith("internal error: boom")
+        err = capfd.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: boom" in err
+
+
 class TestCoalescing:
     def test_concurrent_same_netlist_requests_coalesce(self):
         # Hold the dispatcher hostage with a slow first batch so the next
@@ -643,3 +666,20 @@ class TestServeCLI:
                 assert code == 2
                 assert err.startswith("error: " + argv[1])
                 assert err.count("\n") == 1
+
+    def test_module_entry_point_runs_without_warnings(self):
+        """``python -m repro.service.daemon`` must not import itself
+        through the package first (runpy warns about that), so it fails
+        on a bad flag with exit 2 and one error line even under
+        ``-W error``."""
+        src = pathlib.Path(__file__).parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.service.daemon",
+             "--port", "70000"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: --port")
+        assert run.stderr.count("\n") == 1
