@@ -156,20 +156,6 @@ def _turn_off_transition(kind: DeviceKind) -> Transition:
     return Transition.FALL if kind is not DeviceKind.PMOS else Transition.RISE
 
 
-def source_qualifies(network: Network, node: str,
-                     transition: Transition) -> bool:
-    """Can *node* source the given output transition?"""
-    if transition is Transition.RISE:
-        if node == VDD:
-            return True
-    else:
-        if node == GND:
-            return True
-    if node in (VDD, GND):
-        return False
-    return network.node(node).is_driven_externally
-
-
 class StageCaches:
     """Memoized per-(stage, states) derived structures.
 
@@ -233,8 +219,8 @@ def enumerate_paths(network: Network, stage: Stage, target: str,
     driven_cache = caches.driven
 
     def qualifies(node: str) -> bool:
-        # source_qualifies with the externally-driven lookup memoized
-        # (it is transition-independent for non-rail nodes).
+        # Can the node source the transition?  Rails by polarity, other
+        # nodes when driven externally (memoized: transition-independent).
         if node == VDD:
             return transition is Transition.RISE
         if node == GND:
@@ -474,6 +460,28 @@ def effective_node_cap(network: Network, node: str) -> float:
     return total
 
 
+def effective_node_caps(network: Network) -> Dict[str, float]:
+    """:func:`effective_node_cap` of every node in one pass over the
+    elements.  Each node sums the same terms in the same order (its own
+    capacitance, gate caps and diffusion caps in device order, then
+    floating caps), so every value is bit-equal to the per-node one."""
+    caps = {node.name: node.capacitance for node in network.nodes}
+    devices = network.transistors
+    diffusion = []
+    for device in devices:
+        params = network.tech.params(device.kind)
+        caps[device.gate] += params.gate_capacitance(device.width,
+                                                     device.length)
+        diffusion.append(params.diffusion_capacitance(device.width))
+    for device, cap in zip(devices, diffusion):
+        caps[device.source] += cap
+        caps[device.drain] += cap
+    for floating in network.capacitors:
+        caps[floating.node_a] += floating.capacitance
+        caps[floating.node_b] += floating.capacitance
+    return caps
+
+
 def _element_resistance(tech: Technology, element: Element,
                         transition: Transition) -> float:
     if isinstance(element, Resistor):
@@ -547,14 +555,15 @@ def compile_template(network: Network, stage: Stage, path: SensitizedPath,
                      states: Optional[StateMap] = None,
                      include_branches: bool = True,
                      caches: Optional[StageCaches] = None,
-                     cap_cache: Optional[Dict[str, float]] = None
+                     caps: Optional[Mapping[str, float]] = None
                      ) -> TreeTemplate:
     """Compile the path's RC tree into a :class:`~repro.rctree.TreeTemplate`:
     root at the source, the path as the trunk, and conducting side
     branches (their capacitance loads the path), flattened root first.
     *caches* (a :class:`StageCaches`) amortizes the per-stage element
-    scans across the stage's trees; *cap_cache* memoizes node
-    capacitance lookups network-wide."""
+    scans across the stage's trees; *caps* is every node's effective
+    capacitance (:func:`effective_node_caps`), computed per node when
+    omitted."""
     if caches is None:
         caches = StageCaches()
     pair_index = caches.pair_index(stage, states)
@@ -565,13 +574,8 @@ def compile_template(network: Network, stage: Stage, path: SensitizedPath,
     c = [0.0]
     index = {path.source: 0}
 
-    def node_cap(node: str) -> float:
-        if cap_cache is None:
-            return effective_node_cap(network, node)
-        cap = cap_cache.get(node)
-        if cap is None:
-            cap = cap_cache[node] = effective_node_cap(network, node)
-        return cap
+    node_cap = (caps.__getitem__ if caps is not None
+                else lambda node: effective_node_cap(network, node))
 
     def add(parent_name: str, node: str, element: Element) -> None:
         names.append(node)

@@ -12,8 +12,8 @@ is exact, not an approximation.
 
 :func:`stage_signature` computes a canonical, hashable fingerprint of
 one stage: devices are scanned in netlist insertion order (which the
-path enumerator's DFS order also follows), nodes are renamed to small
-integers at first appearance, and every numeric fact the enumeration or
+path enumerator's DFS order also follows), node ids are mapped to small
+slot numbers at first appearance, and every numeric fact the enumeration or
 tree construction reads is folded in — device kind/geometry, resistor
 values, rail identity, internal/boundary membership, the per-node
 sensitization state, the effective capacitance of internal nodes, and
@@ -27,13 +27,14 @@ signatures are therefore indistinguishable to
 derived resistance/capacitance values are bit-equal (same technology
 lookups on same geometry).
 
-The analyzer keeps one *representative* stage per signature; every other
-stage reads the representative's path list, trigger events renamed
-through the returned name correspondence, and shares its delay-model
-answers outright: its compiled templates are bit-equal, so no per-stage
-copy of them is ever made.  :func:`translate_path` instantiates one
-representative path for the stage — only a reader of an arrival's causal
-path ever needs it.
+The analyzer compiles each class once, on its lowest-index
+*representative* stage, into a candidate program: per candidate its
+trigger as a (slot, transition) and its delay-memo key.  Every stage of
+the class instantiates the program through its own slot -> node-id
+vector and shares the delay-model answers outright: its compiled
+templates are bit-equal, so no per-stage copy of them is ever made.
+:func:`translate_path` instantiates one representative path for the
+stage — only a reader of an arrival's causal path ever needs it.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from .paths import (
     SensitizedPath,
     StateMap,
     Trigger,
-    _state,
-    effective_node_cap,
+    effective_node_caps,
 )
+from .stage_graph import StageGraph
 
-#: Sentinel canonical ids for the rails (never clash with enumerated ids).
+#: Sentinel slots for the rails (never clash with enumerated slots).
 _VDD_ID = -2
 _GND_ID = -3
 
@@ -67,77 +68,63 @@ Signature = Tuple
 
 def stage_signature(network: Network, stage: Stage,
                     states: Optional[StateMap] = None,
-                    cap_cache: Optional[Dict[str, float]] = None
-                    ) -> Tuple[Signature, Tuple[str, ...]]:
-    """Canonical fingerprint of one stage, plus its node names in
-    canonical-id order (the substitution alphabet for translation).
+                    caps: Optional[Mapping[str, float]] = None,
+                    graph: Optional[StageGraph] = None
+                    ) -> Tuple[Signature, Tuple[int, ...]]:
+    """Canonical fingerprint of one stage, plus its node ids in slot
+    order: slot *k* is the *k*-th distinct non-rail node met scanning the
+    devices' (gate, source, drain) and the resistors' ends.  *graph*
+    numbers the nodes and *caps* maps every node to its effective
+    capacitance (both computed from *network* when omitted).
 
     Equal signatures guarantee the stages are isomorphic under the
-    returned name correspondence *and* numerically identical in every
-    quantity the timing derivations read.
+    slot correspondence *and* numerically identical in every quantity
+    the timing derivations read.
     """
-    ids: Dict[str, int] = {}
+    if graph is None:
+        graph = StageGraph.build(network)
+    if caps is None:
+        caps = effective_node_caps(network)
+    ids = graph.node_ids
+    wiring = [ids[n] for d in stage.transistors
+              for n in (d.gate, d.source, d.drain)]
+    channels = len(wiring)
+    wiring += [ids[n] for r in stage.resistors for n in (r.node_a, r.node_b)]
+    rails = {ids[VDD]: _VDD_ID, ids[GND]: _GND_ID}
+    nodes = tuple(n for n in dict.fromkeys(wiring) if n not in rails)
+    slots = dict(zip(nodes, range(len(nodes))))
+    slots.update(rails)
 
-    def nid(node: str) -> int:
-        if node == VDD:
-            return _VDD_ID
-        if node == GND:
-            return _GND_ID
-        got = ids.get(node)
-        if got is None:
-            got = ids[node] = len(ids)
-        return got
-
-    devices = tuple(
-        (_KIND_CODES[d.kind], d.width, d.length,
-         nid(d.gate), nid(d.source), nid(d.drain))
-        for d in stage.transistors
-    )
-    resistors = tuple(
-        (r.resistance, nid(r.node_a), nid(r.node_b))
-        for r in stage.resistors
-    )
-
-    internal = stage.internal_nodes
-    terminals = {n for d in stage.transistors for n in d.channel}
-    terminals.update(n for r in stage.resistors for n in (r.node_a, r.node_b))
+    internal = set(graph.internal[stage.index])
+    terminals = set(wiring[1:channels:3])
+    terminals.update(wiring[2:channels:3], wiring[channels:])
+    names, driven = graph.node_names, graph.driven
+    x_code = _LOGIC_CODES[Logic.X]
     facts: List[Tuple[bool, Optional[bool], int, float]] = []
-    for node in ids:  # dict preserves insertion order == id order
+    for node in nodes:
+        name = names[node]
         is_internal = node in internal
-        if not is_internal:
-            cap = 0.0
-        elif cap_cache is None:
-            cap = effective_node_cap(network, node)
-        else:
-            cap = cap_cache.get(node)
-            if cap is None:
-                cap = cap_cache[node] = effective_node_cap(network, node)
         facts.append((
             is_internal,
-            (network.node(node).is_driven_externally if node in terminals
-             else None),
-            _LOGIC_CODES[_state(states, node)],
-            cap,
+            driven[node] if node in terminals else None,
+            x_code if states is None
+            else _LOGIC_CODES[states.get(name, Logic.X)],
+            caps[name] if is_internal else 0.0,
         ))
 
-    return (devices, resistors, tuple(facts)), tuple(ids)
-
-
-def build_maps(rep_names: Tuple[str, ...], names: Tuple[str, ...]
-               ) -> Tuple[Dict[str, str], Dict[str, str]]:
-    """Forward (representative -> stage) and inverse name substitutions."""
-    return dict(zip(rep_names, names)), dict(zip(names, rep_names))
+    shape = (tuple((_KIND_CODES[d.kind], d.width, d.length)
+                   for d in stage.transistors),
+             tuple(r.resistance for r in stage.resistors))
+    return (shape, tuple(map(slots.__getitem__, wiring)),
+            tuple(facts)), nodes
 
 
 def element_map(rep_stage: Stage, stage: Stage) -> Dict[str, Element]:
     """Representative element name -> this stage's corresponding element
     (devices correspond by netlist insertion position)."""
-    emap: Dict[str, Element] = {}
-    for a, b in zip(rep_stage.transistors, stage.transistors):
-        emap[a.name] = b
-    for a, b in zip(rep_stage.resistors, stage.resistors):
-        emap[a.name] = b
-    return emap
+    return {a.name: b for a, b in zip(
+        rep_stage.transistors + rep_stage.resistors,
+        stage.transistors + stage.resistors)}
 
 
 def translate_path(path: SensitizedPath, name_map: Mapping[str, str],

@@ -65,9 +65,12 @@ def _check_shared_stages(network, states):
     analyzer = TimingAnalyzer(network, states=states)
     checked = 0
     for stage in analyzer.graph.stages:
-        rep, inverse, iso = analyzer._rep_for(stage)
+        member = analyzer._member(stage)
+        iso = member.iso
         if iso is None:
             continue
+        rep = member.program.rep
+        inverse = {mine: theirs for theirs, mine in iso[0].items()}
         checked += 1
         for node in sorted(stage.internal_nodes):
             for transition in Transition:

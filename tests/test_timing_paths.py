@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import Gates, inverter_chain, nand_gate, pass_chain
 from repro.core.timing import effective_node_cap, enumerate_paths
-from repro.core.timing.paths import compile_template
+from repro.core.timing.paths import compile_template, effective_node_caps
 from repro.errors import TimingError
 from repro.netlist import GND, VDD, Network, decompose_stages
 from repro.switchlevel import Logic
@@ -221,3 +221,21 @@ class TestTreeBuilding:
         tree = compile_template(net, stage, paths[0],
                                 include_branches=False).to_rctree()
         assert not tree.contains("side")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: inverter_chain(CMOS3, 3),
+    lambda: pass_chain(CMOS3, 4),
+    lambda: nand_gate(NMOS4, 3),
+], ids=["inverters", "pass-chain", "nmos-nand"])
+def test_bulk_node_caps_are_bit_equal(build):
+    """The one-pass capacitance map the analyzer classifies stages with
+    sums each node's terms in the per-node order, so it is bit-equal."""
+    net = build()
+    net.add_capacitor("vdd", net.node_names[-1], 3e-15)
+    signals = [node.name for node in net.signal_nodes]
+    net.add_capacitor(signals[0], signals[-1], 7e-15)
+    caps = effective_node_caps(net)
+    assert set(caps) == set(net.node_names)
+    for name in net.node_names:
+        assert caps[name].hex() == effective_node_cap(net, name).hex(), name
