@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple, Union
 
-from ..core.models import DelayModel
 from ..core.timing import TimingAnalyzer, TimingResult
 from ..core.timing.analyzer import Arrival, Event
-from ..core.timing.paths import StateMap
 from ..errors import ReproError, SweepError
 from ..netlist import Network
 from ..perf import BatchPerf
@@ -152,10 +150,6 @@ def _validate_vectors(analyzer: TimingAnalyzer,
 
 def run_sweep(network: Network,
               source: Union[VectorSource, Iterable[Vector]],
-              model: Optional[DelayModel] = None,
-              states: Optional[StateMap] = None,
-              initial_states: Optional[StateMap] = None,
-              slope_quantum: float = 0.0,
               watch: Optional[List[str]] = None,
               analyzer: Optional[TimingAnalyzer] = None,
               delta: bool = False,
@@ -163,9 +157,10 @@ def run_sweep(network: Network,
     """Run every vector of *source* through one shared analyzer.
 
     Pass an existing *analyzer* to extend a previous sweep with its
-    caches already warm (its network/model settings win); otherwise one
-    is built from the other arguments.  *watch* restricts the worst-
-    arrival ranking to the named nodes (e.g. the outputs that matter).
+    caches already warm, or to choose its model and states (its network
+    wins); otherwise a default ``TimingAnalyzer(network)`` is built.
+    *watch* restricts the worst-arrival ranking to the named nodes (e.g.
+    the outputs that matter).
 
     ``delta=True`` analyzes consecutive vectors through
     :meth:`~repro.core.timing.TimingAnalyzer.analyze_delta`: only the
@@ -178,9 +173,7 @@ def run_sweep(network: Network,
     order.
     """
     if analyzer is None:
-        analyzer = TimingAnalyzer(network, model=model, states=states,
-                                  initial_states=initial_states,
-                                  slope_quantum=slope_quantum)
+        analyzer = TimingAnalyzer(network)
     sweep = SweepResult(network=analyzer.network,
                         model_name=analyzer.model.name, watch=watch)
     vectors = list(source)

@@ -204,8 +204,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
     network = _load(args.netlist, tech)
     model = MODELS[args.model]()
     inputs = _input_specs(args, slope)
-    analyzer = TimingAnalyzer(network, model=model,
-                              slope_quantum=args.slope_quantum)
+    analyzer = TimingAnalyzer(network, model=model)
     result = None
     try:
         with _traced_run(args):
@@ -286,8 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     network = _load(args.netlist, tech)
     model = MODELS[args.model]()
     source = _sweep_source(args, network, slope)
-    analyzer = TimingAnalyzer(network, model=model,
-                              slope_quantum=args.slope_quantum)
+    analyzer = TimingAnalyzer(network, model=model)
     sweep = None
     try:
         with _traced_run(args):
@@ -450,10 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="print engine perf counters (stage visits, model "
                         "evaluations, cache hits, worklist traffic)")
-    p.add_argument("--slope-quantum", type=float, default=0.0,
-                   metavar="FRACTION",
-                   help="relative slope quantization for the delay-model "
-                        "memo cache (e.g. 0.05; default 0 = exact)")
     add_tracing(p)
     p.set_defaults(func=cmd_timing)
 
@@ -489,10 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="print per-scenario and batch perf counters "
                         "(cross-scenario cache hit rate)")
-    p.add_argument("--slope-quantum", type=float, default=0.0,
-                   metavar="FRACTION",
-                   help="relative slope quantization for the delay-model "
-                        "memo cache (e.g. 0.05; default 0 = exact)")
     p.add_argument("--delta", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="dirty-cone delta re-analysis between consecutive "

@@ -19,7 +19,7 @@ graph:
    node vector.  The first visit evaluates every candidate; later
    visits re-evaluate only those whose trigger event actually changed;
 4. delay-model answers are memoized per class, ``(representative
-   stage, target, transition, path, trigger kind, quantized slope)`` —
+   stage, target, transition, path, trigger kind, input slope)`` —
    isomorphic stages share one set of answers, and an upstream arrival
    whose *time* improved but whose *slope* did not re-uses the cached
    stage delay outright;
@@ -356,13 +356,6 @@ class TimingAnalyzer:
         visit — the brute-force reference the regression tests compare
         against.  Both modes share the worklist, the memo cache, and the
         deterministic tie-break, so their outputs are identical.
-    slope_quantum:
-        Relative quantization applied to input slopes before they key the
-        delay-model memo cache (``0.05`` = snap to a 5 % geometric grid).
-        The *quantized* slope is also what the model is evaluated with, so
-        results stay deterministic regardless of evaluation order.  The
-        default ``0.0`` disables quantization — every distinct slope gets
-        its own cache line and results are exact.
 
     Caching and invalidation
     ------------------------
@@ -388,17 +381,12 @@ class TimingAnalyzer:
     def __init__(self, network: Network, model: Optional[DelayModel] = None,
                  states: Optional[StateMap] = None,
                  initial_states: Optional[StateMap] = None,
-                 incremental: bool = True,
-                 slope_quantum: float = 0.0):
+                 incremental: bool = True):
         self.network = network
         self.model = model if model is not None else SlopeModel()
         self.states = states
         self.initial_states = initial_states
         self.incremental = incremental
-        if not (math.isfinite(slope_quantum) and slope_quantum >= 0):
-            raise TimingError("slope quantum must be finite and "
-                              f"non-negative, got {slope_quantum!r}")
-        self.slope_quantum = float(slope_quantum)
         #: cumulative counters over every ``analyze()`` of this instance
         self.perf = PerfCounters()
         self._run_perf: Optional[PerfCounters] = None
@@ -427,7 +415,7 @@ class TimingAnalyzer:
         # enumeration and template compile of the stage.
         self._stage_caches: Dict[int, StageCaches] = {}
         # Per memo key, the representative's request data, and the
-        # delay-model memo: (memo key, quantized slope) -> StageDelay.
+        # delay-model memo: (memo key, input slope) -> StageDelay.
         self._memo_requests: List[Tuple[Stage, SensitizedPath, int,
                                         DeviceKind]] = []
         self._delay_cache: Dict[Tuple[int, float], StageDelay] = {}
@@ -894,12 +882,6 @@ class TimingAnalyzer:
 
     # -- memoized delay evaluation --------------------------------------
 
-    def _quantize_slope(self, slope: float) -> float:
-        if self.slope_quantum <= 0.0 or slope <= 0.0:
-            return slope
-        step = math.log1p(self.slope_quantum)
-        return math.exp(round(math.log(slope) / step) * step)
-
     def _request_for(self, memo: int, slope: float) -> StageRequest:
         """The delay-model question for one memo miss, asked against the
         representative's compiled template."""
@@ -926,7 +908,6 @@ class TimingAnalyzer:
         candidate is materialized as an :class:`Arrival`.
         """
         cache = self._delay_cache
-        quantum = self.slope_quantum
         keys = table.group.keys
         plan: List[Tuple[int, Arrival, Tuple[int, float]]] = []
         misses: Dict[Tuple[int, float], None] = {}
@@ -936,10 +917,7 @@ class TimingAnalyzer:
             upstream = arrivals.get(event)
             if upstream is None:
                 continue
-            slope = upstream.slope
-            if quantum > 0.0:
-                slope = self._quantize_slope(slope)
-            key = (keys[rank], slope)
+            key = (keys[rank], upstream.slope)
             if key not in cache:
                 misses[key] = None
             plan.append((rank, upstream, key))

@@ -107,7 +107,6 @@ class ServiceClient:
 
     def analyze(self, netlist: str, vectors: Sequence[_VectorLike],
                 tech: str = "cmos3", model: str = "slope",
-                slope_quantum: float = 0.0,
                 characterize: bool = True) -> List[AnalyzedVector]:
         """Analyze *vectors* against *netlist* (``.sim`` text).
 
@@ -126,7 +125,6 @@ class ServiceClient:
                             "inputs": encode_inputs(inputs)})
         payload = {
             "netlist": netlist, "tech": tech, "model": model,
-            "slope_quantum": slope_quantum,
             "characterize": characterize, "vectors": encoded,
         }
         decoded = self._checked("POST", "/analyze", payload)

@@ -78,9 +78,7 @@ class AnalyzerPool:
         tech = request.technology()
         network = sim_format.loads(request.netlist, tech,
                                    name=f"service:{key[:12]}")
-        analyzer = TimingAnalyzer(network,
-                                  model=MODELS[request.model](),
-                                  slope_quantum=request.slope_quantum)
+        analyzer = TimingAnalyzer(network, model=MODELS[request.model]())
         entry = PoolEntry(key, analyzer, network)
         self._entries[key] = entry
         while len(self._entries) > self.capacity:

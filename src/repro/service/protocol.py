@@ -5,8 +5,7 @@ One request analyzes a batch of input vectors against one netlist:
 .. code-block:: json
 
     {"netlist": "| adder\\ni a b\\n…",
-     "tech": "cmos3", "model": "slope",
-     "slope_quantum": 0.0, "characterize": true,
+     "tech": "cmos3", "model": "slope", "characterize": true,
      "vectors": [{"label": "v0",
                   "inputs": {"a": "0.0", "b": "1e-09~2e-09/5e-10"}}]}
 
@@ -30,16 +29,15 @@ to what the engine computed — the service smoke test and
 ``tests/test_service.py`` both assert equality, not approx.
 
 The pool key (:meth:`AnalyzeRequest.pool_key`) hashes everything that
-shapes the analyzer — netlist text, technology, model, slope quantum,
-characterization — but *not* the vectors: two requests that
-differ only in vectors share a warm analyzer and its caches.
+shapes the analyzer — netlist text, technology, model and
+characterization — but *not* the vectors: two requests that differ only
+in vectors share a warm analyzer and its caches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -81,7 +79,6 @@ class AnalyzeRequest:
     netlist: str
     tech: str = "cmos3"
     model: str = "slope"
-    slope_quantum: float = 0.0
     characterize: bool = True
     vectors: Tuple[Vector, ...] = field(default_factory=tuple)
 
@@ -91,7 +88,6 @@ class AnalyzeRequest:
             "netlist": self.netlist,
             "tech": self.tech,
             "model": self.model,
-            "slope_quantum": self.slope_quantum,
             "characterize": self.characterize,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -145,8 +141,8 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
     assert isinstance(payload, dict)
     repeated = _repeated_key(payload)
     _need(repeated is None, f"request field {repeated!r} given twice")
-    unknown = set(payload) - {"netlist", "tech", "model", "slope_quantum",
-                              "characterize", "vectors"}
+    unknown = set(payload) - {"netlist", "tech", "model", "characterize",
+                              "vectors"}
     _need(not unknown,
           f"unknown request field(s): {', '.join(sorted(unknown))}")
 
@@ -161,10 +157,6 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
     model = payload.get("model", "slope")
     _need(model in MODELS,
           f"unknown model {model!r}; choose from {', '.join(sorted(MODELS))}")
-    quantum = payload.get("slope_quantum", 0.0)
-    _need(isinstance(quantum, (int, float)) and not isinstance(quantum, bool)
-          and math.isfinite(quantum) and quantum >= 0.0,
-          "'slope_quantum' must be a finite number >= 0")
     characterize = payload.get("characterize", True)
     _need(isinstance(characterize, bool), "'characterize' must be a boolean")
 
@@ -202,8 +194,7 @@ def parse_analyze_request(payload: object) -> AnalyzeRequest:
         vectors.append(Vector(label=label, inputs=inputs))
 
     return AnalyzeRequest(
-        netlist=netlist, tech=tech, model=model,
-        slope_quantum=float(quantum), characterize=characterize,
+        netlist=netlist, tech=tech, model=model, characterize=characterize,
         vectors=tuple(vectors))
 
 

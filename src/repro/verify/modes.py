@@ -2,19 +2,14 @@
 
 An :class:`EngineMode` freezes one complete engine configuration —
 incremental vs. brute-force reference, dirty-cone delta re-analysis,
-analysis ordering, slope quantization.
-:func:`run_mode` executes one case under one mode through the stock
-sweep engine (so the conformance runner exercises exactly the code paths
-users hit) and reduces the result to a comparable :class:`ModeOutcome`.
+analysis ordering.  :func:`run_mode` executes one case under one mode
+through the stock sweep engine (so the conformance runner exercises
+exactly the code paths users hit) and reduces the result to a
+comparable :class:`ModeOutcome`.
 
-Comparability rules (who must agree with whom):
-
-* modes sharing a ``slope_quantum`` must be **bit-identical** to the
-  brute-force reference of that quantum (``incremental=False``, no
-  delta) — that is the repo-wide equivalence contract of DESIGN.md
-  §5b/§5e;
-* quantized modes are compared only against their matched quantized
-  reference — quantization legitimately changes results.
+Every mode must be **bit-identical** to :data:`REFERENCE`, the
+brute-force serial analysis (``incremental=False``, no delta) — that is
+the repo-wide equivalence contract of DESIGN.md §5b/§5e.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from ..errors import ReproError
 from .generate import ConformanceCase
 
 __all__ = ["EngineMode", "ModeOutcome", "MODES", "DEFAULT_MODE_NAMES",
-           "MODEL_FACTORIES", "default_modes", "parse_modes",
+           "MODEL_FACTORIES", "REFERENCE", "default_modes", "parse_modes",
            "mode_from_name", "run_mode"]
 
 #: Delay-model factories by CLI name (mirrors ``repro.cli.MODELS``).
@@ -49,39 +44,19 @@ class EngineMode:
     name: str
     incremental: bool = True
     delta: bool = False
-    slope_quantum: float = 0.0
     order: str = "given"
 
-    @property
-    def reference_key(self) -> float:
-        """Modes sharing this key must agree bit-for-bit."""
-        return self.slope_quantum
 
-    @property
-    def is_reference(self) -> bool:
-        """True for a brute-force baseline configuration."""
-        return (not self.incremental and not self.delta
-                and self.order == "given")
-
-    def reference(self) -> "EngineMode":
-        """The matched brute-force baseline this mode must equal."""
-        return EngineMode(name=reference_name(self.slope_quantum),
-                          incremental=False,
-                          slope_quantum=self.slope_quantum)
-
-
-def reference_name(slope_quantum: float = 0.0) -> str:
-    return f"reference[q={slope_quantum:g}]" if slope_quantum else "reference"
-
+#: The brute-force baseline every other mode is compared against.
+REFERENCE = EngineMode(name="reference", incremental=False)
 
 #: The stock matrix, in execution order.
 MODES: Dict[str, EngineMode] = {
     mode.name: mode for mode in (
-        EngineMode(name="reference", incremental=False),
+        REFERENCE,
         EngineMode(name="incremental"),
         EngineMode(name="delta", delta=True),
         EngineMode(name="delta-greedy", delta=True, order="greedy"),
-        EngineMode(name="quantized", slope_quantum=0.05),
     )
 }
 
@@ -93,30 +68,27 @@ def default_modes() -> List[EngineMode]:
 
 
 def mode_from_name(name: str) -> EngineMode:
-    """Resolve a mode name — registry entries plus the derived
-    ``reference[q=…]`` baselines the runner synthesizes."""
+    """Resolve a registry mode name."""
     mode = MODES.get(name)
-    if mode is not None:
-        return mode
-    if name.startswith("reference[q=") and name.endswith("]"):
-        try:
-            quantum = float(name[len("reference[q="):-1])
-        except ValueError:
-            pass
-        else:
-            return EngineMode(name=name, incremental=False,
-                              slope_quantum=quantum)
-    raise ReproError(
-        f"unknown engine mode {name!r}; choose from "
-        f"{', '.join(MODES)} (or 'all')")
+    if mode is None:
+        raise ReproError(
+            f"unknown engine mode {name!r}; choose from "
+            f"{', '.join(MODES)} (or 'all')")
+    return mode
 
 
 def parse_modes(text: Optional[str]) -> List[EngineMode]:
-    """CLI ``--modes`` value (comma-separated names, or ``all``)."""
-    if not text or text.strip() == "all":
+    """CLI ``--modes`` value (comma-separated names, or ``all``); an
+    empty list or a name given twice is refused."""
+    if text is None or text.strip() == "all":
         return default_modes()
-    return [mode_from_name(part.strip()) for part in text.split(",")
-            if part.strip()]
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
+        raise ReproError(f"--modes {text!r} names no engine mode")
+    for name in names:
+        if names.count(name) > 1:
+            raise ReproError(f"engine mode {name!r} given twice in --modes")
+    return [mode_from_name(name) for name in names]
 
 
 @dataclass
@@ -148,8 +120,7 @@ def run_mode(case: ConformanceCase, mode: EngineMode,
     """Execute *case* under *mode* via the stock sweep engine."""
     model = MODEL_FACTORIES[model_name]()
     analyzer = TimingAnalyzer(case.network, model=model,
-                              incremental=mode.incremental,
-                              slope_quantum=mode.slope_quantum)
+                              incremental=mode.incremental)
     sweep = run_sweep(case.network, ExplicitVectors(list(case.vectors)),
                       analyzer=analyzer, delta=mode.delta,
                       order=mode.order)

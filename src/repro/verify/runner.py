@@ -2,9 +2,8 @@
 
 :func:`check_case` encodes the comparability contract of
 :mod:`repro.verify.modes`: every mode is compared **bit-identically**
-against the brute-force serial reference sharing its slope quantum — the
-matched reference is synthesized on demand when the mode list does not
-already contain it.
+against the brute-force serial reference, which runs once per case
+whether or not the mode list names it.
 
 :class:`ConformanceRunner` drives the case stream, layers the
 invariants of :mod:`repro.verify.invariants` on top (among them the
@@ -18,7 +17,7 @@ manifest triple, which :func:`replay_reproducer` re-runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..perf import PerfCounters
@@ -27,7 +26,7 @@ from .artifacts import emit_reproducer, load_reproducer
 from .diff import Discrepancy, compare_outcomes
 from .generate import ConformanceCase, generate_case
 from .invariants import check_invariants
-from .modes import (EngineMode, ModeOutcome, default_modes, mode_from_name,
+from .modes import (REFERENCE, EngineMode, default_modes, mode_from_name,
                     run_mode)
 from .shrink import shrink_case
 
@@ -83,33 +82,16 @@ class ConformanceReport:
 
 def check_case(case: ConformanceCase, modes: Sequence[EngineMode],
                model_name: str, perf: PerfCounters) -> List[Discrepancy]:
-    """Run *case* under every mode and return all discrepancies."""
-    outcomes: Dict[str, ModeOutcome] = {}
-    baselines: Dict[float, ModeOutcome] = {}
-
-    def run(mode: EngineMode) -> ModeOutcome:
-        outcome = outcomes.get(mode.name)
-        if outcome is None:
-            outcome = run_mode(case, mode, model_name=model_name)
-            outcomes[mode.name] = outcome
-            perf.incr("verify_mode_runs")
-            if mode.is_reference and mode.reference_key not in baselines:
-                baselines[mode.reference_key] = outcome
-        return outcome
-
+    """Run *case* under the reference and every other mode, and return
+    each mode's discrepancies against the reference."""
+    baseline = run_mode(case, REFERENCE, model_name=model_name)
+    perf.incr("verify_mode_runs")
     findings: List[Discrepancy] = []
-    # First pass registers every explicit reference mode as a baseline so
-    # a listed reference is used rather than a synthesized twin.
     for mode in modes:
-        if mode.is_reference:
-            run(mode)
-    for mode in modes:
-        outcome = run(mode)
-        if mode.is_reference:
+        if mode == REFERENCE:
             continue
-        baseline = baselines.get(mode.reference_key)
-        if baseline is None:
-            baseline = run(mode.reference())
+        outcome = run_mode(case, mode, model_name=model_name)
+        perf.incr("verify_mode_runs")
         perf.incr("verify_comparisons")
         findings += compare_outcomes(case.name, baseline, outcome)
     perf.incr("verify_discrepancies", len(findings))

@@ -580,8 +580,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("extra", [
         ["--input", "a=1e400", "--input", "b=0"],
         ["--input", "a=0", "--input", "b=0", "--slope", "1e400"],
-        ["--input", "a=0", "--input", "b=0", "--slope-quantum", "inf"],
-    ], ids=["input-time", "slope", "slope-quantum"])
+    ], ids=["input-time", "slope"])
     def test_non_finite_timing_exits_2(self, nand_file, extra, capsys):
         code = main(["timing", nand_file, "--tech", "cmos3",
                      "--no-characterize", *extra])
@@ -646,3 +645,21 @@ class TestReplayFailurePaths:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read vector file" in err
+
+    def test_manifest_names_deleted_mode(self, tmp_path, capsys):
+        # A reproducer written while slope quantization existed can name
+        # the deleted ``quantized`` mode; it fails by name.
+        (tmp_path / "c0.sim").write_text(
+            "i a\ne a gnd y 2 8\np a vdd y 2 12\n")
+        (tmp_path / "c0.vec").write_text("@v0 a=0\n")
+        manifest = tmp_path / "case.json"
+        manifest.write_text(json.dumps({
+            "case": "c0", "sim": "c0.sim", "vec": "c0.vec",
+            "modes": ["quantized"], "model": "rc-tree"}))
+        code = main(["verify", "--tech", "cmos3",
+                     "--replay", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown engine mode 'quantized'")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -157,14 +157,15 @@ class TestProtocol:
         ({"tech": "gaas"}, "unknown tech"),
         ({"model": "spicy"}, "unknown model"),
         ({"kernel": "numpy"}, "unknown request field(s): kernel"),
-        ({"slope_quantum": -0.1}, "slope_quantum"),
+        ({"slope_quantum": 0.05},
+         "unknown request field(s): slope_quantum"),
         ({"characterize": "yes"}, "characterize"),
         ({"vectors": []}, "vectors"),
         ({"vectors": [{"inputs": {}}]}, "inputs"),
         ({"vectors": [{"inputs": {"a": "nonsense"}}]}, "inputs['a']"),
         ({"bogus_field": 1}, "unknown request field"),
-        ({"slope_quantum": float("inf")}, "slope_quantum"),
-        ({"slope_quantum": float("nan")}, "slope_quantum"),
+        ({"vectors": [{"inputs": {"a": "inf"}}]}, "inputs['a']"),
+        ({"vectors": [{"inputs": {"a": "0/nan"}}]}, "inputs['a']"),
         ({"vectors": [{"inputs": {"a": "1e400"}}]}, "inputs['a']"),
         ({"vectors": [{"inputs": {"a": "0", " a": "5n", "b": "0"}}]},
          "vectors[0].inputs: duplicate node 'a' in vector 'v0'"),
@@ -182,8 +183,7 @@ class TestProtocol:
 
     def test_pool_key_tracks_config(self):
         base = parse_analyze_request(self._payload())
-        for mutation in ({"model": "rc-tree"}, {"slope_quantum": 0.05},
-                         {"characterize": False},
+        for mutation in ({"model": "rc-tree"}, {"characterize": False},
                          {"netlist": INVERTER_SIM.replace("in", "a")}):
             other = parse_analyze_request(self._payload(**mutation))
             assert other.pool_key() != base.pool_key(), mutation
@@ -356,8 +356,6 @@ class TestServiceEndToEnd:
         connection.close()
 
     @pytest.mark.parametrize("field, body", [
-        ("slope_quantum", '"slope_quantum": 1e400, '
-                          '"vectors": [{"inputs": {"a": "0", "b": "0"}}]'),
         ("inputs['a']", '"vectors": [{"inputs": {"a": "1e400", "b": "0"}}]'),
         ("input 'a': negative slope",
          '"vectors": [{"inputs": {"a": "0/-2e-09", "b": "0"}}]'),
@@ -369,9 +367,12 @@ class TestServiceEndToEnd:
          '"characterize": true, "vectors": [{"inputs": {"a": "0"}}]'),
         ("unknown request field(s): kernel",
          '"kernel": "numpy", "vectors": [{"inputs": {"a": "0", "b": "0"}}]'),
-    ], ids=["slope-quantum", "input-token", "negative-slope",
-            "not-primary-input", "duplicate-json-key", "duplicate-field",
-            "kernel-field"])
+        ("unknown request field(s): slope_quantum",
+         '"slope_quantum": 0.05, '
+         '"vectors": [{"inputs": {"a": "0", "b": "0"}}]'),
+    ], ids=["input-token", "negative-slope", "not-primary-input",
+            "duplicate-json-key", "duplicate-field", "kernel-field",
+            "slope-quantum-field"])
     def test_overflowing_number_is_400(self, service, field, body):
         import http.client as http_client
         host, port = service.service.address

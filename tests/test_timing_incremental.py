@@ -19,7 +19,7 @@ from repro.circuits import (
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.errors import TimingError
 from repro.switchlevel import SwitchSimulator
-from repro.tech import CMOS3, Transition
+from repro.tech import CMOS3
 
 
 def _fixtures():
@@ -140,37 +140,6 @@ class TestWarmCaches:
         shifted = analyzer.analyze(
             {n: 1e-9 for n in adder_input_names(4)})
         assert shifted.perf.get("model_evals") == 0
-
-
-class TestSlopeQuantization:
-    def test_quantization_improves_hit_rate(self):
-        network = ripple_carry_adder(CMOS3, 8)
-        inputs = {n: 0.0 for n in adder_input_names(8)}
-        exact = TimingAnalyzer(network).analyze(inputs)
-        coarse = TimingAnalyzer(network,
-                                slope_quantum=0.10).analyze(inputs)
-        assert (coarse.perf.get("model_evals")
-                <= exact.perf.get("model_evals"))
-
-    def test_quantized_results_stay_close(self):
-        network = ripple_carry_adder(CMOS3, 8)
-        inputs = {n: 0.0 for n in adder_input_names(8)}
-        exact = TimingAnalyzer(network).analyze(inputs)
-        coarse = TimingAnalyzer(network,
-                                slope_quantum=0.05).analyze(inputs)
-        worst_exact = exact.arrival("cout", Transition.RISE).time
-        worst_coarse = coarse.arrival("cout", Transition.RISE).time
-        assert worst_coarse == pytest.approx(worst_exact, rel=0.1)
-
-    def test_negative_quantum_rejected(self):
-        with pytest.raises(TimingError):
-            TimingAnalyzer(ripple_carry_adder(CMOS3, 2), slope_quantum=-0.1)
-
-    @pytest.mark.parametrize("quantum", [float("inf"), float("nan")])
-    def test_non_finite_quantum_rejected(self, quantum):
-        with pytest.raises(TimingError, match="finite"):
-            TimingAnalyzer(ripple_carry_adder(CMOS3, 2),
-                           slope_quantum=quantum)
 
 
 class TestPriorityWorklist:

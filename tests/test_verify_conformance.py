@@ -1,7 +1,7 @@
 """The conformance subsystem end to end (ISSUE 8 tentpole).
 
-Generator determinism and validity, the engine-mode matrix and its
-matched-reference bookkeeping, clean-engine conformance across seeds,
+Generator determinism and validity, the engine-mode registry and its
+``--modes`` parsing, clean-engine conformance across seeds,
 and the acceptance gate: an intentionally injected kernel bug (the
 ``set_constants_scale`` hook in ``rctree/kernel.py``) must be *caught*
 by the kernel invariant and *shrunk* to a reproducer of at most 8
@@ -28,7 +28,6 @@ from repro.verify import (
     mode_from_name,
     parse_modes,
 )
-from repro.verify.modes import reference_name
 
 
 @pytest.fixture
@@ -87,24 +86,17 @@ class TestModeRegistry:
         for name, mode in MODES.items():
             assert mode_from_name(name) is mode
 
-    def test_reference_names_resolve(self):
-        for quantum in (0.0, 0.05):
-            name = reference_name(quantum)
-            mode = mode_from_name(name)
-            assert mode.is_reference
-            assert mode.reference_key == quantum
-
-    def test_matched_reference_shares_key(self):
-        for mode in MODES.values():
-            assert mode.reference().reference_key == mode.reference_key
-
     def test_parse_modes(self):
         assert [m.name for m in parse_modes(None)] == list(MODES)
         assert [m.name for m in parse_modes("all")] == list(MODES)
-        assert [m.name for m in parse_modes("delta, quantized")] == [
-            "delta", "quantized"]
+        assert [m.name for m in parse_modes("delta, incremental")] == [
+            "delta", "incremental"]
         with pytest.raises(ReproError, match="unknown engine mode"):
             parse_modes("warp-drive")
+        with pytest.raises(ReproError, match="names no engine mode"):
+            parse_modes(",")
+        with pytest.raises(ReproError, match="'delta' given twice"):
+            parse_modes("delta,delta")
 
 
 class TestCleanEngine:
@@ -123,8 +115,9 @@ class TestCleanEngine:
             ConformanceConfig(tech=CMOS3, cases=2, seed=0), perf=perf)
         runner.run()
         assert perf.get("verify_cases") == 2
-        assert perf.get("verify_mode_runs") > 0
-        assert perf.get("verify_comparisons") > 0
+        # one reference run plus one run and comparison per other mode
+        assert perf.get("verify_mode_runs") == 8
+        assert perf.get("verify_comparisons") == 6
         assert perf.get("verify_invariant_checks") > 0
         # the verify_* vocabulary is part of the standard counter set and
         # renders in the standard table
@@ -209,3 +202,10 @@ class TestVerifyCLI:
         assert main(["verify", "--cases", "0"]) == 2
         assert main(["verify", "--modes", "bogus"]) == 2
         capsys.readouterr()
+        # a vacuous or doubled mode list is refused before any case runs
+        for modes in (",", "delta,delta"):
+            assert main(["verify", "--cases", "3", "--modes", modes]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
+            assert "conformance" not in captured.out
