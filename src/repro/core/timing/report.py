@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 from ...tech import Transition
 from ...units import format_value
-from .analyzer import Arrival, Event, TimingResult
+from .analyzer import Arrival, Event, TimingResult, event_order
 
 
 def format_critical_path(result: TimingResult, node: str,
@@ -46,7 +46,9 @@ def worst_events(result: TimingResult,
                  nodes: Optional[List[str]] = None,
                  count: Optional[int] = None
                  ) -> List[Tuple[Event, Arrival]]:
-    """Computed events ranked latest-first, optionally node-filtered.
+    """Computed events ranked latest-first, optionally node-filtered;
+    exact time ties rank in :func:`~.analyzer.event_order`, so a delta
+    result ranks like the cold result of the same vector.
 
     The ranking behind :func:`format_worst_paths` and the batch sweep
     reports (:mod:`repro.batch.report`).
@@ -55,7 +57,7 @@ def worst_events(result: TimingResult,
     if nodes is not None:
         wanted = {result.network.node(n).name for n in nodes}
         items = [(e, a) for e, a in items if e.node in wanted]
-    items.sort(key=lambda item: item[1].time, reverse=True)
+    items.sort(key=lambda item: (-item[1].time, event_order(item[0])))
     return items if count is None else items[:count]
 
 
