@@ -321,6 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .perf import PerfCounters
     from .verify import (ConformanceConfig, ConformanceRunner,
                          format_verify_report, parse_modes, replay_reproducer)
+    from .verify.modes import REFERENCE
 
     tech = _tech(args.tech, characterized=False)
     perf = PerfCounters()
@@ -345,6 +346,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise ReproError(
                     f"--cases must be at least 1, got {args.cases}")
             modes = parse_modes(args.modes)
+            if args.no_invariants and set(modes) == {REFERENCE}:
+                # Every mode is compared against the reference, so the
+                # reference alone compares nothing; only the invariants
+                # could check it.
+                raise ReproError(
+                    "--modes reference with --no-invariants checks "
+                    "nothing: add a mode to compare or drop "
+                    "--no-invariants")
             config = ConformanceConfig(
                 tech=tech, tech_name=args.tech, model_name=args.model,
                 seed=args.seed, cases=args.cases, max_size=args.max_size,

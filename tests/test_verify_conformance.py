@@ -202,9 +202,11 @@ class TestVerifyCLI:
         assert main(["verify", "--cases", "0"]) == 2
         assert main(["verify", "--modes", "bogus"]) == 2
         capsys.readouterr()
-        # a vacuous or doubled mode list is refused before any case runs
-        for modes in (",", "delta,delta"):
-            assert main(["verify", "--cases", "3", "--modes", modes]) == 2
+        # a vacuous or doubled mode list is refused before any case runs,
+        # and so is a run left with nothing to check
+        for flags in (["--modes", ","], ["--modes", "delta,delta"],
+                      ["--modes", "reference", "--no-invariants"]):
+            assert main(["verify", "--cases", "3"] + flags) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("error:")
             assert captured.err.count("\n") == 1
