@@ -12,8 +12,9 @@ analyzer's priority worklist pops stages in level order, which on
 feed-forward logic means every stage is visited after all of its inputs
 have settled — the classic levelized discipline that makes worst-case
 (longest-path) propagation converge in one pass.  Stages on feedback
-cycles cannot be levelized; they are assigned a level after every acyclic
-stage and the analyzer's fixpoint iteration handles them.
+cycles cannot be levelized; they, and every stage downstream of one (the
+*loop stages*), are assigned a level after every acyclic stage and the
+analyzer's fixpoint iteration handles them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class StageGraph:
     node_names: List[str]
     #: node id -> driven externally (a rail or a primary input)
     driven: List[bool]
+    #: names of the primary inputs
+    inputs: FrozenSet[str]
     #: stage index -> its internal node ids, ascending
     internal: List[Tuple[int, ...]]
     #: node id -> indices of the stages to re-evaluate when the node changes
@@ -48,6 +51,7 @@ class StageGraph:
     #: stage index -> successor stage indices, built once (stages are static)
     _successors: Dict[int, List[int]] = field(default_factory=dict)
     _levels: Optional[Dict[int, int]] = None
+    _loops: FrozenSet[int] = frozenset()
     #: node id -> forward closure of stage indices (dirty-cone memo)
     _cones: Dict[int, FrozenSet[int]] = field(default_factory=dict)
 
@@ -63,6 +67,7 @@ class StageGraph:
         driven = set(network.externally_driven())
         return cls(stage_map=stage_map, node_ids=ids, node_names=names,
                    driven=[name in driven for name in names],
+                   inputs=frozenset(node.name for node in network.inputs()),
                    internal=[tuple(sorted(map(ids.__getitem__,
                                               stage.internal_nodes)))
                              for stage in stage_map.stages],
@@ -124,8 +129,9 @@ class StageGraph:
         """Longest-predecessor-chain level per stage index.
 
         Kahn's algorithm over the stage graph (self-edges ignored); any
-        stage left over sits on a feedback cycle and is assigned one level
-        past the deepest acyclic stage, preserving a deterministic order.
+        stage left over sits on a feedback cycle or downstream of one
+        (:meth:`loop_stages`) and is assigned one level past the deepest
+        acyclic stage, preserving a deterministic order.
         """
         if self._levels is not None:
             return self._levels
@@ -153,11 +159,19 @@ class StageGraph:
         if len(level) < count:
             # Feedback cycles (and everything downstream of them): one
             # level past the deepest acyclic stage, fixpoint handles them.
+            self._loops = frozenset(set(range(count)) - level.keys())
             overflow = 1 + max(level.values(), default=0)
             for index in range(count):
                 level.setdefault(index, overflow)
         self._levels = level
         return level
+
+    def loop_stages(self) -> FrozenSet[int]:
+        """Indices of the stages on a feedback cycle or downstream of one:
+        those :meth:`levels` leaves for its overflow level.  Within that
+        level stages pop in time order, not in topological order."""
+        self.levels()
+        return self._loops
 
     def has_feedback(self) -> bool:
         """True when the stage graph contains a cycle (latches, flip-flops,

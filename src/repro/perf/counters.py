@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 #: Counters the timing engine emits, in display order, with a short gloss.
 STANDARD_COUNTERS: Dict[str, str] = {
     "stage_visits": "worklist pops that evaluated a stage",
-    "stage_full_evals": "stages evaluated exhaustively (first visit / reference mode)",
+    "stage_full_evals": "stages evaluated exhaustively (first visit / reference mode; in a delta run, the stages re-evaluated)",
     "stage_incremental_evals": "stages re-evaluated for changed triggers only",
     "worklist_pushes": "stage activations pushed on the worklist",
     "worklist_stale_pops": "worklist pops with nothing pending (deduped)",
@@ -40,9 +40,9 @@ STANDARD_COUNTERS: Dict[str, str] = {
     "kernel_nodes": "tree nodes covered by kernel batches",
     "delta_scenarios": "scenarios analyzed by dirty-cone delta re-analysis",
     "input_delta": "changed primary inputs across delta scenarios (Hamming)",
-    "cone_stages": "stages inside delta dirty cones (re-evaluated)",
-    "stages_skipped": "stages outside delta dirty cones (arrivals kept)",
-    "arrivals_reused": "committed arrivals carried over by delta scenarios",
+    "cone_stages": "stages inside delta static dirty cones (re-evaluated only where a trigger moved)",
+    "stages_skipped": "stages outside delta static dirty cones (arrivals kept)",
+    "arrivals_reused": "committed arrivals delta scenarios kept (never dropped for re-evaluation)",
     "verify_cases": "conformance cases generated and analyzed",
     "verify_mode_runs": "engine-mode sweep executions across all cases",
     "verify_comparisons": "mode-pair result comparisons performed",
@@ -201,8 +201,10 @@ class BatchPerf:
 
     @property
     def delta_skip_rate(self) -> Optional[float]:
-        """Fraction of stage evaluations the delta engine skipped, or
-        None when the sweep never ran in delta mode."""
+        """Fraction of stages outside the changed inputs' static dirty
+        cones, which the delta engine keeps without a look, or None when
+        the sweep never ran in delta mode.  Inside a cone only the stages
+        whose triggers moved are re-evaluated (``stage_full_evals``)."""
         total = self.total
         cone = total.get("cone_stages")
         skipped = total.get("stages_skipped")

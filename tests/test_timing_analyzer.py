@@ -19,7 +19,7 @@ from repro.core.timing import (
     format_critical_path,
     format_worst_paths,
 )
-from repro.errors import TimingError
+from repro.errors import NetlistError, TimingError
 from repro.netlist import Network
 from repro.switchlevel import Logic, SwitchSimulator
 from repro.tech import CMOS3, NMOS4, DeviceKind, Transition
@@ -94,6 +94,17 @@ class TestInputSpecs:
             with pytest.raises(TimingError,
                                match="input 'n1' is not a primary input"):
                 run({"in": 0.0, "n1": 1e-9})
+
+    def test_input_names_resolve_through_the_network(self):
+        # A canonical primary-input name is taken as it is; any other
+        # spelling resolves through the network, and so do its errors.
+        net = nand_gate(CMOS3, 2)
+        plain = analyze(net, {"a0": 0.0, "a1": 0.0})
+        spaced = analyze(net, {" a0 ": 0.0, "a1": 0.0})
+        assert ([(e, a.time) for e, a in spaced.arrivals.items()]
+                == [(e, a.time) for e, a in plain.arrivals.items()])
+        with pytest.raises(NetlistError, match="unknown node 'zz'"):
+            analyze(net, {"a0": 0.0, "a1": 0.0, "zz": 0.0})
 
     def test_side_input_without_events(self):
         result = analyze(nand_gate(CMOS3, 2), {
