@@ -12,7 +12,11 @@ line count with ``tests/goldens/engine_results.json``.  A second digest,
 ``sorted_sha256``, hashes the same lines sorted within each result
 (each ``vector N`` block of a sweep), so it pins what the results hold
 but not the order they yield it in: a change that moves only the order
-moves ``sha256`` and keeps ``sorted_sha256``.
+moves ``sha256`` and keeps ``sorted_sha256``.  A third,
+``times_sha256``, hashes only ``node edge time.hex() slope.hex()``,
+sorted within each result the same way: it pins the times and slopes
+and ignores the causes, so a change that moves only the cause of an
+exactly tied arrival keeps it.
 
 The cases cover a cold analysis with little sharing (dec5), one with
 switch-level states (rca8), a large shipped example and a Gray-ordered
@@ -136,9 +140,17 @@ def _sorted_blocks(lines):
     return ordered + sorted(block)
 
 
+def _times(lines):
+    """*lines* cut to ``node edge time slope``: the cause, path and
+    mechanism dropped."""
+    return [line if line.startswith("vector ")
+            else " ".join(line.split(" ", 4)[:4]) for line in lines]
+
+
 def _summary(lines):
     return {"sha256": _sha256(lines),
             "sorted_sha256": _sha256(_sorted_blocks(lines)),
+            "times_sha256": _sha256(_sorted_blocks(_times(lines))),
             "lines": len(lines)}
 
 
@@ -153,8 +165,12 @@ def goldens():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ordered_results_match_golden(name, goldens):
     summary, golden = _summary(CASES[name]()), goldens[name]
-    moved = ("only their order" if summary["sorted_sha256"]
-             == golden["sorted_sha256"] else "the arrivals or their causes")
+    if summary["sorted_sha256"] == golden["sorted_sha256"]:
+        moved = "only their order"
+    elif summary["times_sha256"] == golden["times_sha256"]:
+        moved = "only the causes (times and slopes held)"
+    else:
+        moved = "the times or slopes"
     assert summary == golden, (
         f"{name}: {moved} moved; if the change is intentional, regenerate "
         f"this case with tests/test_engine_golden.py --regenerate {name}")
@@ -195,9 +211,11 @@ def regenerate(names=()) -> None:  # pragma: no cover - maintenance entry
     cases.update((name, _summary(CASES[name]())) for name in names)
     payload = {
         "comment": "sha256 and line count of every arrival in iteration "
-                   "order, and sorted_sha256 over the lines sorted within "
-                   "each result. Regenerate: PYTHONPATH=src:. python "
-                   "tests/test_engine_golden.py --regenerate [CASE ...]",
+                   "order, sorted_sha256 over the lines sorted within "
+                   "each result, and times_sha256 over the sorted lines "
+                   "cut to node, edge, time and slope. Regenerate: "
+                   "PYTHONPATH=src:. python tests/test_engine_golden.py "
+                   "--regenerate [CASE ...]",
         "cases": dict(sorted(cases.items())),
     }
     GOLDEN_FILE.parent.mkdir(exist_ok=True)
@@ -206,7 +224,8 @@ def regenerate(names=()) -> None:  # pragma: no cover - maintenance entry
     for name in names:
         row = cases[name]
         print(f"  {name:<22} {row['lines']:>5} lines  {row['sha256'][:16]}"
-              f"  sorted {row['sorted_sha256'][:16]}")
+              f"  sorted {row['sorted_sha256'][:16]}"
+              f"  times {row['times_sha256'][:16]}")
 
 
 if __name__ == "__main__":  # pragma: no cover
