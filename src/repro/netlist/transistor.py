@@ -9,7 +9,7 @@ from ..errors import NetlistError
 from ..tech import DeviceKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transistor:
     """A MOS transistor viewed as a switch with a resistive channel.
 
@@ -26,12 +26,25 @@ class Transistor:
     width: float
     length: float
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.length <= 0:
+    def __init__(self, name: str, kind: DeviceKind, gate: str, source: str,
+                 drain: str, width: float, length: float) -> None:
+        if width <= 0 or length <= 0:
             raise NetlistError(
-                f"transistor {self.name!r}: non-positive geometry "
-                f"W={self.width}, L={self.length}"
+                f"transistor {name!r}: non-positive geometry "
+                f"W={width}, L={length}"
             )
+        # One netlist line makes one device: write the fields straight
+        # into the instance dict, in declaration order (so every instance
+        # shares one key table), instead of the frozen dataclass's
+        # object.__setattr__ per field.
+        fields = self.__dict__
+        fields["name"] = name
+        fields["kind"] = kind
+        fields["gate"] = gate
+        fields["source"] = source
+        fields["drain"] = drain
+        fields["width"] = width
+        fields["length"] = length
 
     @property
     def channel(self) -> Tuple[str, str]:

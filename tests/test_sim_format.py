@@ -58,6 +58,32 @@ class TestParsing:
         net = sim_format.loads("e a VSS y\n", CMOS3)
         assert net.transistors[0].source == "gnd"
 
+    @pytest.mark.parametrize("alias, rail", [
+        ("VDD", "vdd"), ("Vcc", "vdd"), ("vDD!", "vdd"),
+        ("GND", "gnd"), ("Vss", "gnd"), ("gNd!", "gnd"), ("0", "gnd")])
+    def test_supply_aliases_in_any_case_resolve_to_the_rails(self, alias,
+                                                             rail):
+        # The alias is met both before and after the rail's own name.
+        net = sim_format.loads(f"e a {alias} y\ne b vdd z\ne c gnd w\n"
+                               f"p d {alias} v\nC y {alias} 5\n", CMOS3)
+        assert [d.source for d in net.transistors] == [rail, "vdd", "gnd",
+                                                       rail]
+        assert set(net.node_names) == set("vdd gnd a b c d v w y z".split())
+        assert net.node("y").capacitance == pytest.approx(5e-15)
+
+    def test_repeated_tokens_parse_alike(self):
+        """A token that parsed once parses again to the same value, on
+        every record type and across calls."""
+        text = ("e a gnd y 2 12\np a vdd y 2 12\ne y gnd z 2 12\n"
+                "C y gnd 12\nC z gnd 12\nR z w 2\nR w v 2\n")
+        for _ in range(2):
+            net = sim_format.loads(text, CMOS3)
+            assert {(d.length, d.width) for d in net.transistors} == {
+                (2 * CMOS3.lambda_units, 12 * CMOS3.lambda_units)}
+            assert net.node("y").capacitance == net.node("z").capacitance \
+                == 12 * 1e-15
+            assert [r.resistance for r in net.resistors] == [2.0, 2.0]
+
 
 class TestParseErrors:
     def test_unknown_record(self):
@@ -81,6 +107,24 @@ class TestParseErrors:
     def test_wrong_kind_for_tech(self):
         with pytest.raises(ParseError):
             sim_format.loads("p a vdd y\n", NMOS4)
+
+    def test_malformed_token_on_two_lines_fails_at_the_first(self):
+        """A bad token is not remembered: the parse fails where a netlist
+        holding only the first line fails, with the same message."""
+        first = "e a gnd y 2 1x2\n"
+        with pytest.raises(ParseError) as alone:
+            sim_format.loads(first, CMOS3)
+        with pytest.raises(ParseError) as twice:
+            sim_format.loads(first + "e b gnd z 2 1x2\n", CMOS3)
+        assert str(twice.value) == str(alone.value) \
+            == "malformed numeric value '1x2'"
+        assert twice.value.line == alone.value.line
+
+    def test_source_and_drain_on_one_rail_under_two_spellings(self):
+        with pytest.raises(ParseError) as info:
+            sim_format.loads("e g VDD vdd\n", CMOS3)
+        assert "source and drain are the same node 'vdd'" in str(info.value)
+        assert info.value.line == 1
 
 
 class TestRoundTrip:
