@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ...netlist import Network
+from ...netlist import Network, NodeRole
 from ...netlist.stages import Stage, StageMap
 
 
@@ -58,16 +59,17 @@ class StageGraph:
     @classmethod
     def build(cls, network: Network) -> "StageGraph":
         stage_map = StageMap.build(network)
-        names = sorted(network.node_names)
+        nodes = sorted(network.nodes, key=attrgetter("name"))
+        names = [node.name for node in nodes]
         ids = dict(zip(names, range(len(names))))
         sensitivity: List[List[int]] = [[] for _ in names]
         for stage in stage_map.stages:
             for node in stage.gate_inputs | stage.boundary_nodes:
                 sensitivity[ids[node]].append(stage.index)
-        driven = set(network.externally_driven())
         return cls(stage_map=stage_map, node_ids=ids, node_names=names,
-                   driven=[name in driven for name in names],
-                   inputs=frozenset(node.name for node in network.inputs()),
+                   driven=[node.is_driven_externally for node in nodes],
+                   inputs=frozenset(node.name for node in nodes
+                                    if node.role is NodeRole.INPUT),
                    internal=[tuple(sorted(map(ids.__getitem__,
                                               stage.internal_nodes)))
                              for stage in stage_map.stages],
