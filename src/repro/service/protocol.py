@@ -210,17 +210,14 @@ def encode_inputs(inputs: Mapping[str, InputSpec]) -> Dict[str, str]:
 
 def encode_result(label: str, result: TimingResult) -> Dict[str, object]:
     """One vector's response entry; arrivals sorted by (node, edge)."""
-    arrivals = []
-    for event in sorted(result.arrivals,
-                        key=lambda e: (e.node, _EDGES[e.transition])):
-        arrival = result.arrivals[event]
-        arrivals.append({
-            "node": event.node,
-            "edge": _EDGES[event.transition],
-            "time": arrival.time,
-            "slope": arrival.slope,
-        })
-    return {"label": label, "arrivals": arrivals}
+    items = sorted(result.arrivals.items(),
+                   key=lambda item: (item[0].node, _EDGES[item[0].transition]))
+    return {"label": label, "arrivals": [{
+        "node": event.node,
+        "edge": _EDGES[event.transition],
+        "time": arrival.time,
+        "slope": arrival.slope,
+    } for event, arrival in items]}
 
 
 def decode_arrivals(entry: Mapping[str, object]

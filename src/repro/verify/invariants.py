@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
+from typing import List, Mapping
 
 from ..core.models import RCTreeModel
-from ..core.timing import TimingAnalyzer
+from ..core.timing import Arrival, Event, TimingAnalyzer
 from ..netlist import Network
 from ..perf import PerfCounters
 from ..rctree import RCTree, delay_bounds, exact_delay, time_constants
@@ -66,7 +66,7 @@ def _clone(network: Network) -> Network:
     return clone
 
 
-def _arrivals(network: Network, inputs) -> dict:
+def _arrivals(network: Network, inputs) -> Mapping[Event, Arrival]:
     return TimingAnalyzer(network, model=RCTreeModel()).analyze(
         inputs).arrivals
 

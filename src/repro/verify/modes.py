@@ -15,7 +15,7 @@ the repo-wide equivalence contract of DESIGN.md §5b/§5e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..batch import ExplicitVectors, run_sweep
 from ..core.models import LumpedRCModel, RCTreeModel, SlopeModel
@@ -97,7 +97,7 @@ class ModeOutcome:
 
     mode: EngineMode
     #: vector label -> the full arrival map of that vector's analysis
-    arrivals: Dict[str, Dict[Event, Arrival]]
+    arrivals: Dict[str, Mapping[Event, Arrival]]
     #: the charge-sharing hazard report of the case's network
     hazard_report: str
     #: vector label -> setup-check report (clocked cases only)

@@ -11,6 +11,9 @@ These tests inject an exception *mid-propagation* — after some stages
 have already been evaluated and committed into the run's arrival dict —
 and then diff every arrival of the subsequent delta run against a fresh
 analyzer, exactly (``==`` on times and slopes, not approx).
+
+A completed run's result reads the very dict the next delta run starts
+from, so the last test checks that a result cannot write to it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import pytest
 
 from repro.circuits import adder_input_names, ripple_carry_adder
 from repro.core.timing import TimingAnalyzer
-from repro.core.timing.analyzer import InputSpec
+from repro.core.timing.analyzer import Event, InputSpec
+from repro.tech import Transition
 
 BITS = 4
 
@@ -150,3 +154,30 @@ def test_failed_run_keeps_lifetime_caches_warm(network):
             analyzer.analyze(_vector({"b1", "a2"}))
     assert _cached_groups(analyzer) >= cached_paths
     assert len(analyzer._delay_cache) >= cached_delays
+
+
+def test_result_cannot_corrupt_the_next_delta_run(network):
+    """``result.arrivals`` is a read-only view of the committed int-keyed
+    dict that the next delta run carries over: it reads as the
+    Event-keyed dict of that run, in commit order, and refuses writes."""
+    analyzer = TimingAnalyzer(network)
+    result = analyzer.analyze(_vector({"a0"}))
+    names, transitions = analyzer.graph.node_names, tuple(Transition)
+    committed = {Event(names[event >> 1], transitions[event & 1]): arrival
+                 for event, arrival in analyzer._carryover[1].items()}
+    arrivals = dict(result.arrivals)
+    assert list(arrivals) == list(committed)
+    assert all(arrivals[event] is committed[event] for event in committed)
+
+    event, arrival = next(iter(result.arrivals.items()))
+    with pytest.raises(TypeError):
+        result.arrivals[event] = arrival
+    with pytest.raises(TypeError):
+        result.arrivals[Event("nowhere", Transition.RISE)] = arrival
+    with pytest.raises(TypeError):
+        del result.arrivals[event]
+
+    follow_up = _vector({"b1", "cin"})
+    _assert_identical(analyzer.analyze_delta(follow_up),
+                      TimingAnalyzer(network).analyze(follow_up))
+    assert list(dict(result.arrivals).items()) == list(committed.items())
