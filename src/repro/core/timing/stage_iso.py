@@ -73,9 +73,12 @@ def stage_signature(network: Network, stage: Stage,
                     ) -> Tuple[Signature, Tuple[int, ...]]:
     """Canonical fingerprint of one stage, plus its node ids in slot
     order: slot *k* is the *k*-th distinct non-rail node met scanning the
-    devices' (gate, source, drain) and the resistors' ends.  *graph*
-    numbers the nodes and *caps* maps every node to its effective
-    capacitance (both computed from *network* when omitted).
+    devices' (gate, source, drain) and the resistors' ends, in the
+    stage's netlist insertion order (:func:`~repro.netlist.decompose_stages`
+    keeps it), so every instance of a cell shape scans alike whatever
+    its device names.  *graph* numbers the nodes and *caps* maps every
+    node to its effective capacitance (both computed from *network* when
+    omitted).
 
     Equal signatures guarantee the stages are isomorphic under the
     slot correspondence *and* numerically identical in every quantity
@@ -120,8 +123,10 @@ def stage_signature(network: Network, stage: Stage,
 
 
 def element_map(rep_stage: Stage, stage: Stage) -> Dict[str, Element]:
-    """Representative element name -> this stage's corresponding element
-    (devices correspond by netlist insertion position)."""
+    """Representative element name -> this stage's corresponding element:
+    the *k*-th device (then resistor) of one stage corresponds to the
+    *k*-th of the other, both in netlist insertion order, the order their
+    equal signatures were scanned in."""
     return {a.name: b for a, b in zip(
         rep_stage.transistors + rep_stage.resistors,
         stage.transistors + stage.resistors)}

@@ -428,7 +428,7 @@ def test_shared_analyzer_evals_pinned(cmos3_shipped):
     fresh = [TimingAnalyzer(network).analyze(inputs) for inputs in vectors]
     shared_evals = sum(result.perf.get("model_evals") for result in shared)
     fresh_evals = sum(result.perf.get("model_evals") for result in fresh)
-    assert (shared_evals, fresh_evals) == (687, 41889)
+    assert (shared_evals, fresh_evals) == (645, 39201)
     assert fresh_evals >= 5 * shared_evals
 
     def answers(result):

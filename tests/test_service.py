@@ -646,7 +646,7 @@ class TestWarmService:
             reference = TimingAnalyzer(network).analyze(inputs)
             cold += reference.perf.get("model_evals")
             assert analyzed.arrivals == _wire_arrivals(reference)
-        assert (warm, cold) == (753, 24096)
+        assert (warm, cold) == (711, 22752)
         assert cold >= 3 * warm
 
 

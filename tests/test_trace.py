@@ -269,7 +269,7 @@ def test_disabled_span_sites_under_budget(cmos3_shipped, rca32_gray_inputs):
     tracer = Tracer()
     with trace_spans.activate(tracer):
         TimingAnalyzer(network).analyze_many(vectors)
-    assert len(tracer.records) == 6657
+    assert len(tracer.records) == 6573
     overhead = (len(tracer.records) * trace_spans.disabled_site_cost()
                 / untraced)
     assert overhead < 0.02, f"disabled span sites cost {overhead:.2%}"
