@@ -19,6 +19,7 @@ from repro.core.timing import (
     format_critical_path,
     format_worst_paths,
 )
+from repro.core.timing.analyzer import event_order
 from repro.errors import NetlistError, TimingError
 from repro.netlist import Network
 from repro.switchlevel import Logic, SwitchSimulator
@@ -158,6 +159,24 @@ class TestResultAccess:
     def test_worst_empty_subset_raises(self, result):
         with pytest.raises(TimingError):
             result.worst([])
+
+    def test_worst_breaks_exact_ties_in_event_order(self):
+        """Two identical inverters on one input tie exactly; the tie goes
+        to the first event in event_order (``y10`` sorts before ``y2``),
+        with or without a node filter."""
+        net = Network(CMOS3)
+        for out in ("y2", "y10"):
+            net.add_transistor(DeviceKind.NMOS_ENH, "a", "gnd", out)
+            net.add_transistor(DeviceKind.PMOS, "a", "vdd", out)
+        net.mark_input("a")
+        result = analyze(net, {"a": InputSpec(0.0, 0.0, 0.2e-9)})
+        latest = max(a.time for a in result.arrivals.values())
+        tied = sorted((e for e, a in result.arrivals.items()
+                       if a.time == latest), key=event_order)
+        assert [e.node for e in tied] == ["y10", "y2"]
+        assert result.worst()[0] == tied[0]
+        assert result.worst(["y2", "y10"])[0] == tied[0]
+        assert result.worst(["y2"])[0] == tied[1]
 
     def test_critical_path_starts_at_input(self, result):
         chain = result.critical_path("out", Transition.RISE)
