@@ -31,7 +31,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ...analog import delay_between, simulate, sources
 from ...errors import TechnologyError
 from ...netlist import Network
 from ...tech import (
@@ -202,6 +201,10 @@ def _analytic_tau_guess(tech: Technology, fixture: Fixture,
 def _measure(tech: Technology, fixture: Fixture, input_transition: float,
              tau_hint: float) -> Tuple[float, float]:
     """Simulate one edge; return (delay, output transition time)."""
+    # The analog simulator (and numpy) loads only when a fit runs:
+    # loading a shipped fit never needs it.
+    from ...analog import delay_between, simulate, sources
+
     network, _ = fixture.build(tech)
     vdd = tech.vdd
     t_start = max(2.0 * tau_hint, 0.5 * input_transition)
