@@ -42,7 +42,7 @@ def loads(text: str, tech: Technology, name: str = "sim",
     # A netlist repeats a few geometry and element values many times:
     # each distinct token is parsed once.  A malformed token is never
     # stored, so the parse fails where it first occurs, with
-    # parse_value's own error.
+    # parse_value's own message and that line's location.
     values: Dict[str, float] = {}
 
     def value(token: str) -> float:
@@ -76,8 +76,10 @@ def loads(text: str, tech: Technology, name: str = "sim",
             else:
                 raise ParseError(f"unknown record type {fields[0]!r}",
                                  filename, lineno)
-        except ParseError:
-            raise
+        except ParseError as exc:
+            if exc.line:
+                raise
+            raise ParseError(str(exc), filename, lineno) from None
         except Exception as exc:  # re-wrap construction errors with location
             raise ParseError(str(exc), filename, lineno) from exc
     return network

@@ -557,6 +557,15 @@ class TestFailurePaths:
         assert "broken.sim:2" in err
         assert "unknown record type" in err
 
+    def test_malformed_sim_number_names_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.sim"
+        path.write_text("i a\ne b gnd y 2 8\ne a gnd y 2 1x2\n")
+        code = main(["timing", str(path), "--tech", "cmos3",
+                     "--input", "a=0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {path}:3: malformed numeric value '1x2'\n"
+
     def test_timing_trace_unwritable_exits_2(self, tmp_path, capsys):
         sim = tmp_path / "inv.sim"
         sim.write_text(INVERTER_SIM)

@@ -110,15 +110,16 @@ class TestParseErrors:
 
     def test_malformed_token_on_two_lines_fails_at_the_first(self):
         """A bad token is not remembered: the parse fails where a netlist
-        holding only the first line fails, with the same message."""
+        holding only the first line fails, with the same message, and
+        names that line."""
         first = "e a gnd y 2 1x2\n"
         with pytest.raises(ParseError) as alone:
             sim_format.loads(first, CMOS3)
         with pytest.raises(ParseError) as twice:
             sim_format.loads(first + "e b gnd z 2 1x2\n", CMOS3)
         assert str(twice.value) == str(alone.value) \
-            == "malformed numeric value '1x2'"
-        assert twice.value.line == alone.value.line
+            == "<string>:1: malformed numeric value '1x2'"
+        assert twice.value.line == alone.value.line == 1
 
     def test_source_and_drain_on_one_rail_under_two_spellings(self):
         with pytest.raises(ParseError) as info:
