@@ -64,6 +64,15 @@ class SlopeTable:
         for s in self.slope_factors:
             if s <= 0:
                 raise TechnologyError("slope factors must be positive")
+        # A table keys the slope model's memo on every evaluation: hash
+        # its 3 x n floats once, to the value the generated __hash__
+        # gives.  Float hashes are not salted, so an unpickled table's
+        # copy of it stays right.
+        object.__setattr__(self, "_hash", hash(
+            (self.ratios, self.delay_factors, self.slope_factors)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _interpolate(self, values: Tuple[float, ...], ratio: float) -> float:
         ratios = self.ratios
@@ -137,14 +146,15 @@ class SlopeTableSet:
         self.tables[(kind, transition)] = table
 
     def get(self, kind: DeviceKind, transition: Transition) -> SlopeTable:
-        key = (kind, transition)
-        if key in self.tables:
-            return self.tables[key]
+        # One dict.get per key: each lookup hashes an enum pair.
+        found = self.tables.get((kind, transition))
+        if found is not None:
+            return found
         # Fall back to the same kind's other direction (pass devices are
         # characterized in one direction in minimal sets), then to any table.
-        other = (kind, transition.opposite)
-        if other in self.tables:
-            return self.tables[other]
+        found = self.tables.get((kind, transition.opposite))
+        if found is not None:
+            return found
         raise TechnologyError(
             f"no slope table for {kind.name}/{transition.value} "
             f"(table set source: {self.source!r})"

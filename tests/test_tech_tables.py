@@ -1,6 +1,7 @@
 """Tests for slope-table containers, interpolation and serialization."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -108,6 +109,14 @@ class TestSerialization:
         table = simple_table()
         clone = SlopeTable.from_dict(table.to_dict())
         assert clone == table
+
+    def test_hash_is_the_field_hash_and_survives_pickling(self):
+        table = simple_table()
+        assert hash(table) == hash(
+            (table.ratios, table.delay_factors, table.slope_factors))
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone == table
+        assert hash(clone) == hash(table)
 
     def test_from_samples_sorts(self):
         table = SlopeTable.from_samples([(1.0, 1.5, 3.0), (0.1, 1.0, 2.0)])
