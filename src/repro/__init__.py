@@ -31,6 +31,7 @@ See ``examples/`` for runnable walkthroughs and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
+from ._lazy import lazy_exports
 from .errors import (
     AnalysisError,
     ConvergenceError,
@@ -43,43 +44,6 @@ from .errors import (
     TechnologyError,
     TimingError,
     ValidationError,
-)
-from .tech import CMOS3, NMOS4, DeviceKind, Technology, Transition
-from .netlist import Network, decompose_stages, validate_network
-from .switchlevel import Logic, SwitchSimulator
-from .rctree import RCTree, delay_bounds, elmore_delay
-from .core import (
-    InputSpec,
-    LumpedRCModel,
-    RCTreeModel,
-    SlopeModel,
-    TimingAnalyzer,
-    TimingResult,
-    analyze,
-    characterize_technology,
-    standard_models,
-)
-from .circuits import (
-    Gates,
-    bootstrap_driver,
-    full_adder,
-    inverter_chain,
-    nand_gate,
-    nor_gate,
-    pass_chain,
-    precharged_bus,
-    ripple_carry_adder,
-    xor_gate,
-)
-from .batch import (
-    CartesianSweep,
-    ExplicitVectors,
-    RandomVectors,
-    SweepResult,
-    Vector,
-    load_vector_file,
-    run_scenarios,
-    run_sweep,
 )
 
 __version__ = "1.0.0"
@@ -113,23 +77,27 @@ __all__ = [
     "__version__",
 ]
 
-#: Names that load numpy, resolved on first read (PEP 562) so that
-#: timing a netlist never imports the analog simulator.
-_LAZY = {
-    "Waveform": "analog",
-    "delay_between": "analog",
-    "operating_point": "analog",
-    "simulate": "analog",
+#: Everything but the errors resolves on first read (PEP 562), so a bare
+#: ``import repro`` loads no engine, and nothing that loads numpy.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(("CMOS3", "NMOS4", "DeviceKind", "Technology",
+                     "Transition"), "tech"),
+    **dict.fromkeys(("Network", "decompose_stages", "validate_network"),
+                    "netlist"),
+    **dict.fromkeys(("Waveform", "delay_between", "operating_point",
+                     "simulate"), "analog"),
+    **dict.fromkeys(("Logic", "SwitchSimulator"), "switchlevel"),
+    **dict.fromkeys(("RCTree", "delay_bounds", "elmore_delay"), "rctree"),
     "exact_delay": "rctree.exact",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f".{module}", __name__),
-                                      name)
-    return value
+    **dict.fromkeys(("InputSpec", "LumpedRCModel", "RCTreeModel",
+                     "SlopeModel", "TimingAnalyzer", "TimingResult",
+                     "analyze", "characterize_technology",
+                     "standard_models"), "core"),
+    **dict.fromkeys(("Gates", "bootstrap_driver", "full_adder",
+                     "inverter_chain", "nand_gate", "nor_gate", "pass_chain",
+                     "precharged_bus", "ripple_carry_adder", "xor_gate"),
+                    "circuits"),
+    **dict.fromkeys(("CartesianSweep", "ExplicitVectors", "RandomVectors",
+                     "SweepResult", "Vector", "load_vector_file",
+                     "run_scenarios", "run_sweep"), "batch"),
+})

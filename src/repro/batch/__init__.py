@@ -3,9 +3,12 @@
 The subsystem behind the ``sweep`` CLI subcommand (see DESIGN.md §5b):
 vector sources (:mod:`repro.batch.vectors`), the cache-sharing sweep
 engine (:mod:`repro.batch.sweep`), and the summary/profile reports
-(:mod:`repro.batch.report`).
+(:mod:`repro.batch.report`).  The CLI parses ``--input`` tokens with
+the vector grammar, so only :mod:`.vectors` loads with the package; the
+engine and the reports load on first read of their names (DESIGN.md §8).
 """
 
+from .._lazy import lazy_exports
 from .vectors import (
     VECTOR_ORDERS,
     CartesianSweep,
@@ -24,9 +27,6 @@ from .vectors import (
     parse_vector_line,
     vector_delta,
 )
-from .sweep import (OrderStats, ScenarioOutcome, SweepResult, run_scenarios,
-                    run_sweep)
-from .report import format_sweep_profile, format_sweep_summary
 
 __all__ = [
     "VECTOR_ORDERS",
@@ -53,3 +53,10 @@ __all__ = [
     "format_sweep_profile",
     "format_sweep_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(("OrderStats", "ScenarioOutcome", "SweepResult",
+                     "run_scenarios", "run_sweep"), "sweep"),
+    **dict.fromkeys(("format_sweep_profile", "format_sweep_summary"),
+                    "report"),
+})

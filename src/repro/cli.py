@@ -35,15 +35,15 @@ import math
 import sys
 from typing import List, Optional
 
+# Module level imports only modules that ``timing`` runs (the vector
+# sources and the fit live in two of them); every other subcommand
+# imports its own, so a timing run never loads them (DESIGN.md §8).
 from .batch import (
     VECTOR_ORDERS,
     CartesianSweep,
     RandomVectors,
-    format_sweep_profile,
-    format_sweep_summary,
     load_vector_file,
     parse_timing_token,
-    run_sweep,
 )
 from .batch.vectors import with_default_slope
 from .core.models import (
@@ -57,14 +57,12 @@ from .core.models.characterize import table_summary
 from .core.timing import (
     TimingAnalyzer,
     arrival_table,
-    find_charge_sharing_hazards,
     format_critical_path,
-    format_hazard_report,
     format_worst_paths,
 )
 from .errors import ReproError
-from .netlist import Network, sim_format, spice_format, validate_network
-from .switchlevel import Logic, SwitchSimulator
+from .netlist import Network, sim_format
+from .switchlevel import Logic
 from .tech import TECHNOLOGIES, Technology, Transition, save_technology
 from .units import parse_value
 
@@ -88,6 +86,8 @@ def _tech(name: str, characterized: bool) -> Technology:
 
 def _load(path: str, tech: Technology) -> Network:
     if path.endswith((".sp", ".spi", ".spice", ".cir")):
+        from .netlist import spice_format
+
         network, _ = spice_format.load(path, tech)
         return network
     return sim_format.load(path, tech)
@@ -130,6 +130,8 @@ def _parse_set(token: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .netlist.validate import validate_network
+
     tech = _tech(args.tech, characterized=False)
     network = _load(args.netlist, tech)
     print(network.summary())
@@ -144,6 +146,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_switch(args: argparse.Namespace) -> int:
+    from .switchlevel.simulator import SwitchSimulator
+
     tech = _tech(args.tech, characterized=False)
     network = _load(args.netlist, tech)
     sim = SwitchSimulator(network)
@@ -177,12 +181,12 @@ def _traced_run(args: argparse.Namespace):
     """Install a run tracer when ``--trace``/``--trace-summary`` ask for
     one, and flush it in the ``finally`` — an aborted run still writes
     the partial trace collected up to the failure (DESIGN.md §7)."""
-    from .trace import spans as trace_spans
-    from .trace.export import format_trace_summary, write_chrome_trace
-
     if not (args.trace or args.trace_summary):
         yield None
         return
+    from .trace import spans as trace_spans
+    from .trace.export import format_trace_summary, write_chrome_trace
+
     tracer = trace_spans.Tracer()
     trace_spans.install(tracer)
     try:
@@ -279,6 +283,9 @@ def _sweep_source(args: argparse.Namespace, network: Network, slope: float):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .batch.report import format_sweep_profile, format_sweep_summary
+    from .batch.sweep import run_sweep
+
     slope = _slope_arg(args)
     _check_count(args.count)
     tech = _tech(args.tech, characterized=not args.no_characterize)
@@ -308,6 +315,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_hazards(args: argparse.Namespace) -> int:
+    from .core.timing.hazards import (find_charge_sharing_hazards,
+                                      format_hazard_report)
+
     tech = _tech(args.tech, characterized=False)
     network = _load(args.netlist, tech)
     states = dict(_parse_set(t) for t in args.set or []) or None
@@ -589,7 +599,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     service) or an :class:`OSError` that escaped the engine layers
     (unwritable ``--output``/``--trace`` targets, unreadable inputs)
     becomes a one-line ``error: …`` diagnostic on stderr and exit code
-    2 — never a raw traceback.
+    2 — never a raw traceback.  So does a subcommand that simulates
+    (``characterize``, ``verify``) run where numpy is not installed.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -597,6 +608,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed",
+              file=sys.stderr)
         return 2
 
 

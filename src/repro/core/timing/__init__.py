@@ -1,5 +1,10 @@
-"""Crystal-style static timing analysis over stage decompositions."""
+"""Crystal-style static timing analysis over stage decompositions.
 
+Clocked analysis (:mod:`.clocking`) and the charge-sharing scan
+(:mod:`.hazards`) load on first read of their names (DESIGN.md §8).
+"""
+
+from ..._lazy import lazy_exports
 from .paths import (
     PathElement,
     SensitizedPath,
@@ -21,21 +26,6 @@ from .report import (
     format_critical_path,
     format_worst_paths,
     worst_events,
-)
-from .clocking import (
-    ClockPhase,
-    ClockSchedule,
-    ClockedTimingResult,
-    SetupCheck,
-    analyze_clocked,
-    format_setup_report,
-    minimum_period,
-    setup_checks,
-)
-from .hazards import (
-    ChargeSharingHazard,
-    find_charge_sharing_hazards,
-    format_hazard_report,
 )
 
 __all__ = [
@@ -67,3 +57,11 @@ __all__ = [
     "format_worst_paths",
     "worst_events",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(("ClockPhase", "ClockSchedule", "ClockedTimingResult",
+                     "SetupCheck", "analyze_clocked", "format_setup_report",
+                     "minimum_period", "setup_checks"), "clocking"),
+    **dict.fromkeys(("ChargeSharingHazard", "find_charge_sharing_hazards",
+                     "format_hazard_report"), "hazards"),
+})

@@ -51,7 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import ItemsView, ValuesView
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Dict,
@@ -162,18 +162,49 @@ class InputSpec:
                 else self.arrival_fall)
 
 
-@dataclass(eq=False)
 class Arrival:
     """Worst-case arrival of one event, with its causal link: ``link`` is
     the winning (candidate table, rank), from which ``path`` and ``trigger``
-    resolve on first read; equality compares them, not the link."""
+    resolve on first read; equality compares them, not the link.
+
+    Read-only: a result shares its records with the analyzer's delta
+    carryover, so a write would leak into the next ``analyze_delta``.
+    """
+
+    # Slots keep each record a single object that is cheap to make and
+    # to read (a cold rca32 analysis makes about 1500 and reads their
+    # time and slope some nine times as often); an instance dict per
+    # record would double the garbage collector's traffic.  ``__dict__``
+    # holds only what ``cached_property`` stores.
+    __slots__ = ("time", "slope", "cause", "stage_delay", "link", "__dict__")
 
     time: float
     slope: float
-    cause: Optional[Event] = None
-    stage_delay: Optional[StageDelay] = None
-    link: Optional[Tuple["_Candidates", int]] = field(default=None,
-                                                      repr=False)
+    cause: Optional[Event]
+    stage_delay: Optional[StageDelay]
+    link: Optional[Tuple["_Candidates", int]]
+
+    def __init__(self, time: float, slope: float,
+                 cause: Optional[Event] = None,
+                 stage_delay: Optional[StageDelay] = None,
+                 link: Optional[Tuple["_Candidates", int]] = None) -> None:
+        _set_time(self, time)
+        _set_slope(self, slope)
+        _set_cause(self, cause)
+        _set_stage_delay(self, stage_delay)
+        _set_link(self, link)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to Arrival.{name}: "
+                             f"arrivals are read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete Arrival.{name}: "
+                             f"arrivals are read-only")
+
+    def __repr__(self) -> str:
+        return (f"Arrival(time={self.time!r}, slope={self.slope!r}, "
+                f"cause={self.cause!r}, stage_delay={self.stage_delay!r})")
 
     @property
     def is_primary(self) -> bool:
@@ -196,6 +227,15 @@ class Arrival:
         return isinstance(other, Arrival) and all(
             getattr(self, name) == getattr(other, name) for name in (
                 "time", "slope", "cause", "stage_delay", "path", "trigger"))
+
+
+# ``Arrival.__init__`` writes through the slot descriptors, since its
+# ``__setattr__`` refuses every write.
+_set_time = Arrival.time.__set__
+_set_slope = Arrival.slope.__set__
+_set_cause = Arrival.cause.__set__
+_set_stage_delay = Arrival.stage_delay.__set__
+_set_link = Arrival.link.__set__
 
 
 def _moved(old: Optional[Arrival], new: Optional[Arrival]) -> bool:
@@ -777,7 +817,7 @@ class TimingAnalyzer:
                 if time is None:
                     continue
                 event = 2 * ids[name] + code
-                arrivals[event] = Arrival(time=time, slope=spec.slope)
+                arrivals[event] = Arrival(time, spec.slope)
                 ranks[event] = _PRIMARY_RANK
                 seeds.append(event)
         return seeds
@@ -1106,13 +1146,11 @@ class TimingAnalyzer:
         result = cache[best_key]
         cause = table.triggers[best_rank]
         events = self._events
-        return Arrival(
-            time=best_time,
-            slope=result.output_slope,
-            cause=events.objects[cause] or events.event(cause),
-            stage_delay=result,
-            link=(table, best_rank),
-        ), best_rank
+        # Positional: keyword arguments would make each arrival about
+        # half again as dear to build.
+        return Arrival(best_time, result.output_slope,
+                       events.objects[cause] or events.event(cause),
+                       result, (table, best_rank)), best_rank
 
     # -- event admission ------------------------------------------------
 

@@ -1,11 +1,15 @@
-"""Transistor-level netlist substrate: nodes, devices, stages, file formats."""
+"""Transistor-level netlist substrate: nodes, devices, stages, file formats.
 
+The checks (:mod:`.validate`) and the SPICE reader (:mod:`.spice_format`)
+load on first read of their names (DESIGN.md §8).
+"""
+
+from .._lazy import lazy_exports
 from .node import GND, VDD, Node, NodeRole, canonical_name
 from .transistor import Capacitor, Resistor, Transistor
 from .network import Network
 from .stages import Stage, StageMap, decompose_stages, stage_of
-from .validate import Diagnostic, Severity, validate_network, validate_strict
-from . import sim_format, spice_format
+from . import sim_format
 
 __all__ = [
     "GND",
@@ -28,3 +32,9 @@ __all__ = [
     "sim_format",
     "spice_format",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(("Diagnostic", "Severity", "validate_network",
+                     "validate_strict"), "validate"),
+    "spice_format": "spice_format",
+})

@@ -5,6 +5,7 @@ The exact step response (:mod:`.exact`) is the one part that needs
 numpy; its names load on first read, so the timing engine never
 imports it."""
 
+from .._lazy import lazy_exports
 from .tree import RCTree
 from .elmore import TimeConstants, elmore_delay, lumped_time_constant, time_constants
 from .bounds import DelayBounds, delay_bounds, delay_bounds_from_constants
@@ -29,19 +30,5 @@ __all__ = [
 ]
 
 #: Names that load numpy, resolved on first read (PEP 562).
-_LAZY = {
-    "StepResponse": "exact",
-    "exact_delay": "exact",
-    "step_response": "exact",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f".{module}", __name__),
-                                      name)
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
+    ("StepResponse", "exact_delay", "step_response"), "exact"))

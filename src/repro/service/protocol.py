@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..batch.vectors import Vector, format_timing_token, parse_timing_token
@@ -84,6 +85,12 @@ class AnalyzeRequest:
 
     def pool_key(self) -> str:
         """Content hash of everything that shapes the warm analyzer."""
+        return self._pool_key
+
+    @cached_property
+    def _pool_key(self) -> str:
+        # Hashed once per request: the daemon's job and the pool both
+        # ask, and the netlist text may run to tens of kilobytes.
         blob = json.dumps({
             "netlist": self.netlist,
             "tech": self.tech,

@@ -10,17 +10,12 @@ The two layers:
 * :mod:`repro.trace.export` — Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto, the flat ``--trace-summary``
   aggregate, and the schema validator behind ``make service-smoke``.
+
+Only a traced run writes or reads a trace, so :mod:`.export` loads on
+first read of its names (DESIGN.md §8).
 """
 
-from .export import (
-    SpanStats,
-    aggregate_spans,
-    chrome_trace_events,
-    format_trace_summary,
-    validate_trace,
-    validate_trace_file,
-    write_chrome_trace,
-)
+from .._lazy import lazy_exports
 from .spans import (
     NULL_SCOPE,
     SpanRecord,
@@ -53,3 +48,8 @@ __all__ = [
     "validate_trace_file",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
+    ("SpanStats", "aggregate_spans", "chrome_trace_events",
+     "format_trace_summary", "validate_trace", "validate_trace_file",
+     "write_chrome_trace"), "export"))

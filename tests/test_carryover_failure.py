@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 
 from repro.circuits import adder_input_names, ripple_carry_adder
-from repro.core.timing import TimingAnalyzer
+from repro.core.timing import TimingAnalyzer, format_critical_path
 from repro.core.timing.analyzer import Event, InputSpec
 from repro.tech import Transition
 
@@ -181,3 +181,24 @@ def test_result_cannot_corrupt_the_next_delta_run(network):
     _assert_identical(analyzer.analyze_delta(follow_up),
                       TimingAnalyzer(network).analyze(follow_up))
     assert list(dict(result.arrivals).items()) == list(committed.items())
+
+
+def test_arrival_records_are_read_only(network):
+    """The records themselves are shared with the carryover too: writing
+    or deleting a field raises, and the result still reads whole."""
+    analyzer = TimingAnalyzer(network)
+    result = analyzer.analyze_delta(_vector(set()))
+    arrival = result.arrival("s0", Transition.RISE)
+    before = (arrival.time, arrival.slope)
+    with pytest.raises(AttributeError):
+        arrival.time = 1.0
+    with pytest.raises(AttributeError):
+        del arrival.slope
+    assert (arrival.time, arrival.slope) == before
+
+    follow_up = _vector({"a3"})
+    _assert_identical(analyzer.analyze_delta(follow_up),
+                      TimingAnalyzer(network).analyze(follow_up))
+    report = format_critical_path(result, "s0", Transition.RISE)
+    assert report.startswith("critical path to s0")
+    assert arrival.path is not None and arrival.trigger is not None

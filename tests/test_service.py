@@ -29,7 +29,7 @@ from repro.core.timing.analyzer import InputSpec
 from repro.errors import ServiceError
 from repro.netlist import sim_format
 from repro.service import AnalyzerPool, ServiceClient, parse_analyze_request
-from repro.service import daemon
+from repro.service import daemon, protocol
 from repro.service.daemon import ServiceConfig, TimingService
 from repro.service.protocol import encode_inputs
 from repro.tech import CMOS3, Transition
@@ -274,6 +274,19 @@ class TestServiceEndToEnd:
         assert metrics["pool"]["misses"] == 1
         assert metrics["pool"]["hits"] >= 1
         assert metrics["pool"]["size"] == 1
+
+    def test_request_hashes_its_netlist_once(self, service):
+        # The daemon's job and the pool both need the request's key.
+        client = service.client
+        with mock.patch.object(protocol.hashlib, "sha256",
+                               wraps=protocol.hashlib.sha256) as sha256:
+            client.analyze(NAND_SIM, [("v0", _vec())], characterize=False)
+            assert sha256.call_count == 1
+            client.analyze(NAND_SIM, [("v1", _vec(a=2e-10))],
+                           characterize=False)
+            assert sha256.call_count == 2
+        pool = client.metrics()["pool"]
+        assert (pool["misses"], pool["hits"]) == (1, 1)
 
     def test_distinct_netlists_get_distinct_entries(self, service):
         client = service.client
