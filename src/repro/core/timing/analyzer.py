@@ -53,6 +53,7 @@ import math
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -62,6 +63,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -314,6 +316,12 @@ class ArrivalMap(Mapping):
 
     def values(self) -> ValuesView:
         return _Values(self)
+
+    def numbered(self) -> Tuple[Mapping[int, Arrival], Sequence[str]]:
+        """The run's arrivals keyed by event int (``2 * node id +
+        transition``), read-only, and the node names those ids index.
+        Ids follow sorted name order, so sorting ids sorts names."""
+        return MappingProxyType(self._arrivals), self._table.names
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"

@@ -18,6 +18,13 @@ class Transistor:
     Geometry is in metres.
     """
 
+    # Slots: an analysis reads device fields some 17 times as often as
+    # a parse makes devices (about 24 400 reads per cold rca32 analysis
+    # against 1408 devices), and a slot is the cheapest field to read.
+    # ``__init__`` writes through the slot descriptors, since the frozen
+    # dataclass's ``__setattr__`` refuses every write.
+    __slots__ = ("name", "kind", "gate", "source", "drain", "width", "length")
+
     name: str
     kind: DeviceKind
     gate: str
@@ -33,18 +40,19 @@ class Transistor:
                 f"transistor {name!r}: non-positive geometry "
                 f"W={width}, L={length}"
             )
-        # One netlist line makes one device: write the fields straight
-        # into the instance dict, in declaration order (so every instance
-        # shares one key table), instead of the frozen dataclass's
-        # object.__setattr__ per field.
-        fields = self.__dict__
-        fields["name"] = name
-        fields["kind"] = kind
-        fields["gate"] = gate
-        fields["source"] = source
-        fields["drain"] = drain
-        fields["width"] = width
-        fields["length"] = length
+        _set_name(self, name)
+        _set_kind(self, kind)
+        _set_gate(self, gate)
+        _set_source(self, source)
+        _set_drain(self, drain)
+        _set_width(self, width)
+        _set_length(self, length)
+
+    def __reduce__(self):
+        # Pickle and copy through __init__: the default slot state is
+        # restored with setattr, which a frozen instance refuses.
+        return (type(self), (self.name, self.kind, self.gate, self.source,
+                             self.drain, self.width, self.length))
 
     @property
     def channel(self) -> Tuple[str, str]:
@@ -70,6 +78,15 @@ class Transistor:
     def shape_factor(self) -> float:
         """W/L — proportional to drive strength."""
         return self.width / self.length
+
+
+_set_name = Transistor.name.__set__
+_set_kind = Transistor.kind.__set__
+_set_gate = Transistor.gate.__set__
+_set_source = Transistor.source.__set__
+_set_drain = Transistor.drain.__set__
+_set_width = Transistor.width.__set__
+_set_length = Transistor.length.__set__
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from .client import AnalyzedVector, ServiceClient, wait_until_ready
 from .pool import AnalyzerPool, PoolEntry
 from .protocol import (
     AnalyzeRequest,
+    ResultEncoder,
     decode_arrivals,
     encode_inputs,
-    encode_result,
     parse_analyze_request,
 )
 
@@ -27,10 +27,10 @@ __all__ = [
     "AnalyzerPool",
     "AnalyzeRequest",
     "PoolEntry",
+    "ResultEncoder",
     "ServiceClient",
     "decode_arrivals",
     "encode_inputs",
-    "encode_result",
     "parse_analyze_request",
     "wait_until_ready",
 ]

@@ -22,8 +22,10 @@ Architecture (DESIGN.md §10):
   keeps accepting, rejecting, and answering ``/metrics`` while the
   engine computes;
 * each handler awaits its job's future under the per-request timeout —
-  ``504`` on expiry (the computation is not cancelled; its result warms
-  the caches for the next request);
+  ``504`` on expiry.  A job still queued then is dropped when the
+  dispatcher pops it, so it costs no engine work; a batch already in the
+  engine is not cancelled, and its result warms the caches for the next
+  request;
 * ``SIGTERM``/``SIGINT``/``POST /shutdown`` put the daemon in draining
   mode: new work is answered ``503``, queued and in-flight jobs finish,
   then the server closes and — when ``--trace`` is active — the whole
@@ -32,8 +34,12 @@ Architecture (DESIGN.md §10):
 Results are **bit-identical** to a fresh analyzer per request: the
 engine's delta/batch invariants guarantee the arrivals, and the JSON
 layer's shortest-round-trip floats guarantee the wire (see
-``protocol.py``).  ``make service-smoke`` and ``tests/test_service.py``
-both assert exact equality.
+``protocol.py``).  The engine thread writes each 200 body itself, with
+the pool entry's :class:`~repro.service.protocol.ResultEncoder`, and
+the handler sends those bytes as they are; so the wire's exactness
+rests on that encoder writing what ``json.dumps`` writes for the dict
+payload.  ``make service-smoke`` and ``tests/test_service.py`` both
+assert exact equality, of arrivals and of body bytes.
 """
 
 from __future__ import annotations
@@ -46,14 +52,14 @@ import signal
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..batch.vectors import order_vectors
 from ..errors import ReproError, ServiceError
 from ..perf import PerfCounters
 from ..trace import spans as trace_spans
 from .pool import AnalyzerPool
-from .protocol import (AnalyzeRequest, decode_body, encode_result,
+from .protocol import (AnalyzeRequest, analyze_body, decode_body,
                        parse_analyze_request)
 
 __all__ = ["ServiceConfig", "TimingService", "run", "serve"]
@@ -67,6 +73,10 @@ _REASONS = {
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: A response: its status and either a JSON-ready payload or, for a 200
+#: from ``/analyze``, the body bytes the engine thread wrote.
+_Response = Tuple[int, Union[bytes, Dict[str, object]]]
 
 
 @dataclass
@@ -85,14 +95,13 @@ class ServiceConfig:
 class _Job:
     """One enqueued analyze request and the future its handler awaits."""
 
-    __slots__ = ("request", "key", "future", "abandoned")
+    __slots__ = ("request", "key", "future")
 
     def __init__(self, request: AnalyzeRequest,
                  future: "asyncio.Future") -> None:
         self.request = request
         self.key = request.pool_key()
         self.future = future
-        self.abandoned = False
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -230,6 +239,11 @@ class TimingService:
                 for job in coalesced:
                     self._pending.remove(job)
                 batch.extend(coalesced)
+            # A job whose handler gave up while it queued (its future
+            # cancelled by the timeout) has been answered 504: drop it.
+            batch = [job for job in batch if not job.future.done()]
+            if not batch:
+                continue
             if len(batch) > 1:
                 self.perf.incr("service_coalesced_requests", len(batch) - 1)
             self.perf.incr("service_batches")
@@ -253,10 +267,10 @@ class TimingService:
     def _run_batch(self, batch: List[_Job]) -> List[object]:
         """Executor-thread body: one coalesced delta-ordered mini-sweep.
 
-        Returns one entry per job: the response payload dict, or the
-        exception to fail that job with.  A job whose vectors do not
-        validate against the network fails alone — its coalesced
-        neighbours still run.
+        Returns one entry per job: its 200 body, written by the pool
+        entry's encoder, or the exception to fail that job with.  A job
+        whose vectors do not validate against the network fails alone —
+        its coalesced neighbours still run.
         """
         with trace_spans.span("service_batch", requests=len(batch),
                               key=batch[0].key[:12]):
@@ -295,19 +309,16 @@ class TimingService:
                     return outcome
                 by_position = dict(zip(permutation, results))
                 self.perf.incr("service_vectors", len(vectors))
+                encode = entry.encoder.entry
                 for (position, start) in spans_per_job:
                     job = batch[position]
                     entry.requests += 1
                     entry.vectors += len(job.request.vectors)
-                    outcome[position] = {
-                        "results": [
-                            encode_result(vector.label,
-                                          by_position[start + offset])
-                            for offset, vector in
-                            enumerate(job.request.vectors)],
-                        "coalesced": len(batch) - 1,
-                        "pool_key": entry.key[:12],
-                    }
+                    outcome[position] = analyze_body(
+                        [encode(vector.label, by_position[start + offset])
+                         for offset, vector in
+                         enumerate(job.request.vectors)],
+                        len(batch) - 1, entry.key[:12])
             return outcome
 
     # -- HTTP layer ---------------------------------------------------------
@@ -319,7 +330,8 @@ class TimingService:
         except Exception as exc:  # never let a handler kill the loop
             traceback.print_exception(exc)
             status, payload = 500, {"error": f"internal error: {exc}"}
-        body = json.dumps(payload).encode("utf-8")
+        body = payload if isinstance(payload, bytes) else json.dumps(
+            payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: application/json\r\n"
@@ -333,7 +345,7 @@ class TimingService:
             pass  # client went away; nothing to salvage
 
     async def _handle_request(self, reader: asyncio.StreamReader
-                              ) -> Tuple[int, Dict[str, object]]:
+                              ) -> _Response:
         self.perf.incr("service_requests")
         try:
             method, path, body = await asyncio.wait_for(
@@ -348,7 +360,7 @@ class TimingService:
             return await self._route(method, path, body)
 
     async def _route(self, method: str, path: str, body: bytes
-                     ) -> Tuple[int, Dict[str, object]]:
+                     ) -> _Response:
         if path == "/healthz":
             return 200, {"status": "draining" if self._draining else "ok"}
         if path == "/metrics":
@@ -364,7 +376,7 @@ class TimingService:
             return 405, {"error": "POST /analyze"}
         return await self._analyze(body)
 
-    async def _analyze(self, body: bytes) -> Tuple[int, Dict[str, object]]:
+    async def _analyze(self, body: bytes) -> _Response:
         if self._draining:
             self.perf.incr("service_rejected_draining")
             return 503, {"error": "service is draining"}
@@ -391,7 +403,6 @@ class TimingService:
             result = await asyncio.wait_for(job.future,
                                             timeout=self.config.timeout)
         except asyncio.TimeoutError:
-            job.abandoned = True
             self.perf.incr("service_timeouts")
             return 504, {"error": f"analysis exceeded the "
                                   f"{self.config.timeout:g}s request "
@@ -409,7 +420,7 @@ class TimingService:
             self.perf.incr("service_errors")
             return 500, {"error": f"internal error: {exc}"}
         self.perf.incr("service_completed")
-        assert isinstance(result, dict)
+        assert isinstance(result, bytes)
         return 200, result
 
     # -- observability ------------------------------------------------------

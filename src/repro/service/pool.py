@@ -26,21 +26,23 @@ from typing import Dict, Optional
 
 from ..core.timing import TimingAnalyzer
 from ..netlist import sim_format
-from .protocol import MODELS, AnalyzeRequest
+from .protocol import MODELS, AnalyzeRequest, ResultEncoder
 
 __all__ = ["AnalyzerPool", "PoolEntry"]
 
 
 class PoolEntry:
-    """One warm analyzer and the request shape that built it."""
+    """One warm analyzer, the request shape that built it, and the
+    encoder of its responses (evicted with it)."""
 
-    __slots__ = ("key", "analyzer", "network", "built_at", "requests",
-                 "vectors")
+    __slots__ = ("key", "analyzer", "network", "encoder", "built_at",
+                 "requests", "vectors")
 
     def __init__(self, key: str, analyzer: TimingAnalyzer, network) -> None:
         self.key = key
         self.analyzer = analyzer
         self.network = network
+        self.encoder = ResultEncoder()
         self.built_at = time.time()
         self.requests = 0
         self.vectors = 0

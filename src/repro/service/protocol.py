@@ -26,7 +26,13 @@ Exactness: times and slopes travel as JSON numbers serialized with
 ``repr``-style shortest round-trip formatting (Python's ``json`` module
 default), so the client decodes the daemon's arrivals **bit-identical**
 to what the engine computed — the service smoke test and
-``tests/test_service.py`` both assert equality, not approx.
+``tests/test_service.py`` both assert equality, not approx.  The daemon
+does not build that payload as dicts: :class:`ResultEncoder` writes the
+body text itself, and exactness rests on it reproducing, byte for byte,
+what ``json.dumps`` writes for the dict payload above (sorted arrivals,
+default separators, ASCII escapes, ``json``'s float rule).
+``tests/test_service.py`` compares every 200 body with ``json.dumps``
+of that payload, and the service smoke test re-encodes a raw body.
 
 The pool key (:meth:`AnalyzeRequest.pool_key`) hashes everything that
 shapes the analyzer — netlist text, technology, model and
@@ -40,7 +46,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..batch.vectors import Vector, format_timing_token, parse_timing_token
 from ..core.models import (
@@ -49,18 +55,19 @@ from ..core.models import (
     SlopeModel,
     characterize_technology,
 )
-from ..core.timing.analyzer import InputSpec, TimingResult
+from ..core.timing.analyzer import Arrival, InputSpec, TimingResult
 from ..errors import ReproError, ServiceError
 from ..tech import TECHNOLOGIES, Technology, Transition
 
 __all__ = [
     "AnalyzeRequest",
     "MODELS",
+    "ResultEncoder",
     "TECHNOLOGIES",
+    "analyze_body",
     "decode_arrivals",
     "decode_body",
     "encode_inputs",
-    "encode_result",
     "parse_analyze_request",
 ]
 
@@ -70,7 +77,9 @@ MODELS = {
     "slope": SlopeModel,
 }
 
-_EDGES = {Transition.RISE: "rise", Transition.FALL: "fall"}
+#: The wire edge of an event int's transition bit (``2 * node id +
+#: transition``, transitions in enum order): "rise", "fall".
+_EDGES = tuple(transition.value for transition in Transition)
 
 
 @dataclass(frozen=True)
@@ -215,16 +224,90 @@ def encode_inputs(inputs: Mapping[str, InputSpec]) -> Dict[str, str]:
     return encoded
 
 
-def encode_result(label: str, result: TimingResult) -> Dict[str, object]:
-    """One vector's response entry; arrivals sorted by (node, edge)."""
-    items = sorted(result.arrivals.items(),
-                   key=lambda item: (item[0].node, _EDGES[item[0].transition]))
-    return {"label": label, "arrivals": [{
-        "node": event.node,
-        "edge": _EDGES[event.transition],
-        "time": arrival.time,
-        "slope": arrival.slope,
-    } for event, arrival in items]}
+_INFINITY = float("inf")
+_float_repr = float.__repr__
+
+
+def _number(value: float) -> str:
+    """*value* as ``json.dumps`` writes it: ``float.__repr__``, with
+    ``NaN`` and ``Infinity`` for the values JSON has no number for."""
+    if value.__class__ is not float:
+        return json.dumps(value)
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return _float_repr(value)
+
+
+class ResultEncoder:
+    """The response entries of one warm analyzer, written as
+    ``json.dumps`` writes ``{"label": …, "arrivals": [{"node": …,
+    "edge": …, "time": …, "slope": …}, …]}`` with the arrivals sorted by
+    (node, edge).
+
+    Per event int it keeps the fixed head of its object (node and edge)
+    and the last :class:`Arrival` record it wrote, with that record's
+    finished text.  A delta run hands most of its records over from the
+    run before, so most of a response is text already written.  The
+    cache is checked by identity, not by value: a record is read-only,
+    so the same object has the same time and slope, while equal values
+    can still print differently (``0.0 == -0.0``).  Memory is one head
+    and one fragment per event, two per node, plus the records held.
+    """
+
+    __slots__ = ("_names", "_heads", "_records", "_fragments")
+
+    def __init__(self) -> None:
+        self._names: Sequence[str] = ()
+        self._heads: List[Optional[str]] = []
+        self._records: List[Optional[Arrival]] = []
+        self._fragments: List[str] = []
+
+    def entry(self, label: str, result: TimingResult) -> str:
+        """One vector's response entry as JSON text."""
+        arrivals, names = result.arrivals.numbered()
+        if names is not self._names:
+            # A first result, or a renumbered graph: start over.
+            count = 2 * len(names)
+            self._names = names
+            self._heads = [None] * count
+            self._records = [None] * count
+            self._fragments = [""] * count
+        heads, records = self._heads, self._records
+        fragments = self._fragments
+        parts = []
+        # Ids follow sorted node names and the transition bit is 0 for
+        # rise, so ids with that bit flipped sort by (node, edge):
+        # "fall" < "rise".
+        for flipped in sorted([event ^ 1 for event in arrivals]):
+            event = flipped ^ 1
+            arrival = arrivals[event]
+            if records[event] is not arrival:
+                head = heads[event]
+                if head is None:
+                    head = heads[event] = (
+                        '{"node": ' + json.dumps(names[event >> 1])
+                        + ', "edge": "' + _EDGES[event & 1] + '", "time": ')
+                fragments[event] = (head + _number(arrival.time)
+                                    + ', "slope": ' + _number(arrival.slope)
+                                    + "}")
+                records[event] = arrival
+            parts.append(fragments[event])
+        return ('{"label": ' + json.dumps(label) + ', "arrivals": ['
+                + ", ".join(parts) + "]}")
+
+
+def analyze_body(entries: Sequence[str], coalesced: int,
+                 pool_key: str) -> bytes:
+    """A 200 ``/analyze`` body from its :meth:`ResultEncoder.entry`
+    texts: ``json.dumps({"results": [...], "coalesced": coalesced,
+    "pool_key": pool_key})``, byte for byte."""
+    return ('{"results": [' + ", ".join(entries) + '], "coalesced": '
+            + json.dumps(coalesced) + ', "pool_key": '
+            + json.dumps(pool_key) + "}").encode("utf-8")
 
 
 def decode_arrivals(entry: Mapping[str, object]

@@ -6,12 +6,16 @@ checks the full serving envelope from outside:
 1. concurrent clients (default 4) each stream a batch of vectors for
    the same circuit and every arrival is **bit-identical** to a local
    reference analyzer in this process (exact ``==``, not approx);
-2. ``/metrics`` is live and shows the expected traffic: every request
+2. one raw ``/analyze`` body is exactly what ``json.dumps`` writes for
+   its own decoding, with its arrivals in (node, edge) order: the
+   daemon writes its 200 bodies without ``json.dumps``, so this guards
+   the wire bytes, not only the decoded values;
+3. ``/metrics`` is live and shows the expected traffic: every request
    counted, a warm pool with at most one miss;
-3. the daemon was started with ``--trace``; after shutdown the trace
+4. the daemon was started with ``--trace``; after shutdown the trace
    file validates against the Chrome trace_event schema and contains
    the service request spans;
-4. ``SIGTERM`` drains cleanly: the process exits 0 by itself.
+5. ``SIGTERM`` drains cleanly: the process exits 0 by itself.
 
 Everything runs under one hard wall-clock watchdog — a hung daemon
 fails the gate instead of hanging CI (``make service-smoke``).
@@ -20,6 +24,7 @@ fails the gate instead of hanging CI (``make service-smoke``).
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import pathlib
 import signal
@@ -38,6 +43,7 @@ from ..errors import ServiceError
 from ..netlist import sim_format
 from ..tech import CMOS3, Transition
 from .client import ServiceClient, wait_until_ready
+from .protocol import encode_inputs
 
 BITS = 8  # rca8: big enough that warm caches matter, small enough for CI
 
@@ -80,6 +86,37 @@ def _reference(netlist: str,
             arrivals[(event.node, edge)] = (arrival.time, arrival.slope)
         reference.append(arrivals)
     return reference
+
+
+def _check_raw_body(host: str, port: int, netlist: str,
+                    vector: Vector) -> int:
+    """POST one vector and check the raw 200 body's bytes: it must equal
+    ``json.dumps`` of its own decoding, and list its arrivals in
+    strictly increasing (node, edge) order.  Returns its arrival count."""
+    payload = {"netlist": netlist, "characterize": False,
+               "vectors": [{"label": vector.label,
+                            "inputs": encode_inputs(vector.inputs)}]}
+    connection = http.client.HTTPConnection(host, port, timeout=120.0)
+    try:
+        connection.request("POST", "/analyze",
+                           body=json.dumps(payload).encode("utf-8"))
+        response = connection.getresponse()
+        body = response.read()
+    finally:
+        connection.close()
+    if response.status != 200:
+        raise ServiceError(f"raw /analyze answered {response.status}: "
+                           f"{body[:200]!r}")
+    decoded = json.loads(body)
+    if json.dumps(decoded).encode("utf-8") != body:
+        raise ServiceError("raw /analyze body differs from json.dumps of "
+                           "its own decoding")
+    keys = [(record["node"], record["edge"])
+            for record in decoded["results"][0]["arrivals"]]
+    if not keys or keys != sorted(set(keys)):
+        raise ServiceError("raw /analyze arrivals are not in (node, edge) "
+                           "order")
+    return len(keys)
 
 
 class _Watchdog:
@@ -175,11 +212,16 @@ def run_smoke(clients: int = 4, vectors_per_client: int = 6,
               f"vector(s), {checked} arrival(s) bit-identical "
               f"({elapsed:.2f}s)")
 
+        # -- raw wire bytes -------------------------------------------------
+        count = _check_raw_body(host, port, netlist, per_client[0][0])
+        print(f"smoke: raw /analyze body is json.dumps bytes, {count} "
+              "arrival(s) in (node, edge) order")
+
         # -- metrics --------------------------------------------------------
         metrics = ServiceClient(host, port).metrics()
         service = metrics["service"]
         pool = metrics["pool"]
-        total = clients  # one /analyze per client
+        total = clients + 1  # one /analyze per client, one raw
         if service.get("service_completed", 0) < total:
             raise ServiceError(
                 f"/metrics shows {service.get('service_completed')} "

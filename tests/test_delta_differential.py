@@ -1,10 +1,11 @@
-"""Property-based differential tests for delta-driven sweeps (ISSUE 7).
+"""Property-based differential tests for delta-driven sweeps.
 
 Random feed-forward gate networks × random vector batches, asserting the
 dirty-cone delta engine agrees bit-identically with the full batch and
 with per-vector fresh analyzers — across every analysis order and across
 mid-sequence cache invalidation (including a real ``resize_transistor``
-edit).
+edit).  Random NAND latches with random fanout do the same for stage
+graphs with a feedback cycle.
 """
 
 import random
@@ -193,3 +194,79 @@ class TestDeltaOnALoop:
             assert_identical(result, fresh, ("latch", index))
             assert result.perf.get("delta_scenarios") == (index > 0)
 
+
+#: Per value a NAND latch holds (q = 1, q = 0), the (set, reset) pairs
+#: that keep it: its write vector and the hold vector.  A latch that
+#: flips is a genuine timing loop (q falls, so qb rises, so q falls
+#: later), which the analyzer refuses whichever way it runs.
+_LATCH_KEEPS = (({"set": 0, "reset": 1}, {"set": 1, "reset": 1}),
+                ({"set": 1, "reset": 0}, {"set": 1, "reset": 1}))
+
+#: The fanout: a chain of NAND/NOR gates from q or qb, each gate also fed
+#: by a side input, so paths from the two side inputs reconverge.
+latch_fanout = st.tuples(
+    st.sampled_from(("q", "qb")),
+    st.lists(st.tuples(st.sampled_from(("nand", "nor")),
+                       st.sampled_from(("w", "x"))),
+             min_size=1, max_size=4))
+
+#: A switch-level vector: which keeping (set, reset) pair, then w and x.
+latch_state = st.tuples(st.integers(0, 1), st.integers(0, 1),
+                        st.integers(0, 1))
+
+#: Per timing vector, each input's arrival in ticks (-1: static) and a
+#: slope.
+latch_vectors = st.lists(
+    st.tuples(st.integers(-1, 10), st.integers(-1, 10), st.integers(-1, 10),
+              st.integers(-1, 10), st.integers(0, len(_SLOPES) - 1)),
+    min_size=3, max_size=6)
+
+
+class TestDeltaOnRandomLatches:
+    """A NAND latch with a random NAND/NOR fanout, timed between two
+    switch-level states in which the latch keeps its value and w
+    toggles: one analyzer's ``analyze_delta`` over a random vector
+    sequence must match a fresh ``analyze`` of each vector.  Every stage
+    sits on the loop or downstream of it, so every one is a loop stage."""
+
+    @staticmethod
+    def _latch_fanout(fanout, value, before, after):
+        net = Network(CMOS3)
+        gates = Gates(net)
+        gates.nand(["set", "qb"], "q")
+        gates.nand(["reset", "q"], "qb")
+        for node in ("w", "x"):
+            net.add_node(node)
+        previous, chain = fanout
+        for index, (kind, side) in enumerate(chain):
+            getattr(gates, kind)([previous, side], f"g{index}")
+            previous = f"g{index}"
+        net.mark_input("set", "reset", "w", "x")
+        keeps = _LATCH_KEEPS[value]
+        sim = SwitchSimulator(net)
+        states = []
+        for keep, w, x in ((0, 0, 0), before,
+                           (after[0], 1 - before[1], after[2])):
+            sim.set_vector({**keeps[keep], "w": w, "x": x})
+            sim.settle()
+            states.append(sim.values())
+        return net, states[1], states[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(fanout=latch_fanout, value=st.integers(0, 1),
+           before=latch_state, after=latch_state, vecs=latch_vectors)
+    def test_latch_fanout_delta_equals_fresh(self, fanout, value, before,
+                                             after, vecs):
+        net, pre, post = self._latch_fanout(fanout, value, before, after)
+        analyzer = TimingAnalyzer(net, states=post, initial_states=pre)
+        assert analyzer.graph.loop_stages() == frozenset(
+            range(len(analyzer.graph.stages)))
+        for index, (*ticks, slope) in enumerate(vecs):
+            inputs = {name: InputSpec(*(
+                (None, None) if tick < 0 else (tick * _TIME_STEP,) * 2),
+                slope=_SLOPES[slope])
+                for name, tick in zip(("set", "reset", "w", "x"), ticks)}
+            result = analyzer.analyze_delta(inputs)
+            fresh = TimingAnalyzer(net, states=post,
+                                   initial_states=pre).analyze(inputs)
+            assert_identical(result, fresh, ("latch", index))

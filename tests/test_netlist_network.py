@@ -1,5 +1,7 @@
 """Tests for nodes, elements and the Network container."""
 
+import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -60,6 +62,25 @@ class TestTransistorElement:
     def test_shape_factor(self):
         t = Transistor("m1", DeviceKind.NMOS_ENH, "g", "s", "d", 8e-6, 2e-6)
         assert t.shape_factor() == pytest.approx(4.0)
+
+    def test_frozen_value_object(self):
+        # Slots filled through their descriptors: still frozen, equal and
+        # hashed by value, picklable and copyable, and replace() works.
+        t = Transistor("m1", DeviceKind.NMOS_ENH, "g", "s", "d", 4e-6, 2e-6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.width = 1e-6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.gate
+        twin = Transistor("m1", DeviceKind.NMOS_ENH, "g", "s", "d",
+                          4e-6, 2e-6)
+        assert t == twin and hash(t) == hash(twin)
+        for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t),
+                      copy.deepcopy(t)):
+            assert clone == t and hash(clone) == hash(t)
+        wider = dataclasses.replace(t, width=8e-6)
+        assert (wider.width, wider.gate) == (8e-6, "g") and wider != t
+        with pytest.raises(NetlistError):
+            dataclasses.replace(t, length=0.0)
 
     def test_resistor_validation(self):
         with pytest.raises(NetlistError):
