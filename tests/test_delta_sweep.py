@@ -435,3 +435,25 @@ def test_delta_sweep_visits_pinned(cmos3_shipped, rca32_gray_inputs):
     assert full_visits >= 3 * delta_visits
     for position, (result, reference) in enumerate(zip(delta, full)):
         assert_identical(result, reference, position)
+
+
+def test_delta_sweep_counter_totals_pinned(cmos3_shipped, rca32_gray_inputs):
+    """Every counter of the delta side of the pin above, summed over its
+    64 vectors: the worklist, candidate-loop and memo counters that pin
+    does not name included, keys and all."""
+    network = ripple_carry_adder(cmos3_shipped, 32)
+    vectors = rca32_gray_inputs(("a16", "b18", "a21", "b24", "a27", "b31"))
+    totals = {}
+    for result in TimingAnalyzer(network).analyze_many(vectors, delta=True):
+        for name, value in result.perf.counters.items():
+            totals[name] = totals.get(name, 0) + value
+    assert totals == {
+        "arrival_updates": 3676, "arrivals_reused": 94500,
+        "candidates": 15623, "cone_stages": 1899, "delta_scenarios": 63,
+        "input_delta": 63, "kernel_batches": 257, "kernel_nodes": 1836,
+        "model_cache_hits": 15011, "model_cache_misses": 612,
+        "model_evals": 612, "path_enumerations": 16,
+        "stage_full_evals": 919, "stage_visits": 919,
+        "stages_skipped": 20277, "tree_template_hits": 588,
+        "tree_template_misses": 24, "worklist_pushes": 1014,
+        "worklist_stale_pops": 95}
