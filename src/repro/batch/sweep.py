@@ -15,9 +15,9 @@ and ``tests/test_batch_sweep.py`` lock that equivalence down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..core.timing import TimingAnalyzer, TimingResult
+from ..core.timing import InputSpec, TimingAnalyzer, TimingResult
 from ..core.timing.analyzer import Arrival, Event
 from ..errors import ReproError, SweepError
 from ..netlist import Network
@@ -122,8 +122,10 @@ class ArrivalStats:
 
 
 def _validate_vectors(analyzer: TimingAnalyzer,
-                      vectors: List[Vector]) -> None:
-    """Reject bad vectors before any analysis runs.
+                      vectors: List[Vector]) -> List[Dict[str, InputSpec]]:
+    """Reject bad vectors before any analysis runs; return each vector's
+    inputs as the analyzer normalized them, which it then analyzes
+    without checking them again.
 
     Every input name must resolve to a real, non-supply node, every
     primary input must be covered, and every timing value must be finite
@@ -133,6 +135,7 @@ def _validate_vectors(analyzer: TimingAnalyzer,
     analyzed.
     """
     labels: dict = {}
+    normalized = []
     for position, vector in enumerate(vectors):
         previous = labels.get(vector.label)
         if previous is not None:
@@ -142,10 +145,11 @@ def _validate_vectors(analyzer: TimingAnalyzer,
                 "and lookups, so every vector needs its own")
         labels[vector.label] = position
         try:
-            analyzer._normalize_inputs(vector.inputs)
+            normalized.append(analyzer._normalize_inputs(vector.inputs))
         except ReproError as exc:
             raise SweepError(
                 f"vector {vector.label!r}: {exc}") from exc
+    return normalized
 
 
 def run_sweep(network: Network,
@@ -179,7 +183,7 @@ def run_sweep(network: Network,
     vectors = list(source)
     if not vectors:
         raise SweepError("vector source produced no vectors")
-    _validate_vectors(analyzer, vectors)
+    inputs = _validate_vectors(analyzer, vectors)
 
     permutation = order_vectors(vectors, order, source)
     ordered = [vectors[position] for position in permutation]
@@ -189,7 +193,7 @@ def run_sweep(network: Network,
     with _trace_span("sweep", vectors=len(vectors), delta=delta,
                      order=order):
         in_order = analyzer.analyze_many(
-            [vector.inputs for vector in ordered], delta=delta)
+            [inputs[position] for position in permutation], delta=delta)
         results = [None] * len(vectors)
         for position, result in zip(permutation, in_order):
             results[position] = result

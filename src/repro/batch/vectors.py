@@ -412,10 +412,14 @@ def vector_delta(a: Vector, b: Vector) -> int:
     dirty cone each scenario re-evaluates.
     """
     count = 0
+    others = b.inputs
     for name, spec in a.inputs.items():
-        if b.inputs.get(name) != spec:
+        # Identity first: sweep vectors share their spec objects, and an
+        # identical object is an equal spec.
+        other = others.get(name)
+        if other is not spec and other != spec:
             count += 1
-    for name in b.inputs:
+    for name in others:
         if name not in a.inputs:
             count += 1
     return count

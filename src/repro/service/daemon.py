@@ -283,16 +283,20 @@ class TimingService:
             outcome: List[object] = [None] * len(batch)
             runnable: List[int] = []
             vectors = []
+            # Each vector's inputs as the analyzer normalized them, which
+            # it then analyzes without checking them again.
+            inputs = []
             spans_per_job: List[Tuple[int, int]] = []
             for position, job in enumerate(batch):
                 try:
-                    for vector in job.request.vectors:
-                        analyzer._normalize_inputs(vector.inputs)
+                    checked = [analyzer._normalize_inputs(vector.inputs)
+                               for vector in job.request.vectors]
                 except ReproError as exc:
                     outcome[position] = ServiceError(str(exc), status=400)
                     continue
                 start = len(vectors)
                 vectors.extend(job.request.vectors)
+                inputs.extend(checked)
                 spans_per_job.append((position, start))
                 runnable.append(position)
 
@@ -301,7 +305,7 @@ class TimingService:
                 try:
                     with trace_spans.span("service_sweep",
                                           vectors=len(vectors)):
-                        ordered = [vectors[i].inputs for i in permutation]
+                        ordered = [inputs[i] for i in permutation]
                         results = analyzer.analyze_many(ordered, delta=True)
                 except ReproError as exc:
                     for position in runnable:

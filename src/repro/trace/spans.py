@@ -12,12 +12,13 @@ did; this module says *where the wall-clock time went*.  A
             with trace.span("stage_eval", stage=3):
                 ...
 
-Every instrumented call site goes through the module-level
-:func:`span` / :func:`instant` helpers, which read the process-global
-active tracer.  When no tracer is active (the default), a call site
-costs one global read, one ``None`` check, and a shared no-op context
-manager — ``tests/test_trace.py`` keeps that under the 2 % budget on
-an rca32 sweep.  Spans ride the same run lifecycle as
+Every instrumented call site reads the process-global active tracer,
+through the module-level :func:`span` / :func:`instant` helpers or, on
+the engine's hot paths, by checking :func:`current` itself.  When no
+tracer is active (the default), a call site costs one global read, one
+``None`` check, and a shared no-op context manager —
+``tests/test_trace.py`` keeps that under the 2 % budget on an rca32
+sweep.  Spans ride the same run lifecycle as
 :class:`~repro.perf.PerfCounters`: the analyzer opens its top-level span
 where it creates the run's counters and closes it in the same ``finally``
 that merges them, so a run that dies mid-analysis still leaves a
@@ -223,20 +224,33 @@ def instant(name: str, **args: object) -> None:
         tracer.instant(name, **args)
 
 
-def disabled_site_cost(iterations: int = 200_000) -> float:
+def disabled_site_cost(iterations: int = 200_000,
+                       hoisted: bool = False) -> float:
     """Measured per-call cost of one *disabled* span site, in seconds.
 
-    Times the exact pattern the hot paths execute when no tracer is
-    active (``with span(...):`` hitting the shared null scope), so the
-    overhead gate can turn a span count into a deterministic disabled-
-    overhead estimate instead of gating on noisy wall-clock A/B runs.
+    Times the exact pattern a call site executes when no tracer is
+    active, so the overhead gate can turn a span count into a
+    deterministic disabled-overhead estimate instead of gating on noisy
+    wall-clock A/B runs.  The default is a ``with span(...):`` site
+    hitting the shared null scope.  *hoisted* is a site that checks the
+    tracer itself, ``with (tracer.span(...) if tracer is not None else
+    NULL_SCOPE):`` after ``tracer = current()``: it builds no argument
+    dict and makes no :func:`span` call.  A site that reads the tracer
+    once per run, or records an instant, does less.
     """
     assert _ACTIVE is None, "measure disabled cost with tracing off"
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        for _ in range(iterations):
-            with span("overhead_probe", stage=0):
-                pass
+        if hoisted:
+            for _ in range(iterations):
+                tracer = current()
+                with (tracer.span("overhead_probe", stage=0)
+                      if tracer is not None else NULL_SCOPE):
+                    pass
+        else:
+            for _ in range(iterations):
+                with span("overhead_probe", stage=0):
+                    pass
         best = min(best, time.perf_counter() - start)
     return best / iterations

@@ -5,6 +5,8 @@ analyzer sweep engine and its equivalence to fresh analyzers, the
 per-batch perf aggregation, and the sweep reports.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.batch import (
@@ -330,6 +332,50 @@ class TestVectorValidation:
             Vector(label="partial", inputs={"a0": 0.0})])
         with pytest.raises(SweepError, match="partial"):
             run_sweep(rca4, vectors)
+
+
+class TestNormalizeOnce:
+    """A sweep checks each vector once, up front, and analyzes what the
+    check returned."""
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_sweep_normalizes_each_vector_once(self, rca4, rca4_vectors,
+                                               delta):
+        real = TimingAnalyzer._normalize_inputs
+        calls = []
+
+        def counting(analyzer, inputs):
+            calls.append(inputs)
+            return real(analyzer, inputs)
+
+        with mock.patch.object(TimingAnalyzer, "_normalize_inputs",
+                               counting):
+            sweep = run_sweep(rca4, rca4_vectors, delta=delta,
+                              order="greedy")
+        assert len(calls) == len(rca4_vectors)
+        for vector, outcome in zip(rca4_vectors, sweep.outcomes):
+            fresh = TimingAnalyzer(rca4).analyze(vector.inputs)
+            assert outcome.result.arrivals == fresh.arrivals
+
+    def test_inputs_checked_on_another_graph_are_checked_again(self, rca4):
+        inputs = {name: 0.0 for name in adder_input_names(4)}
+        analyzer = TimingAnalyzer(rca4)
+        stale = analyzer._normalize_inputs(inputs)
+        analyzer.invalidate_caches()
+        real = TimingAnalyzer._normalize_inputs
+        calls = []
+
+        def counting(analyzer, inputs):
+            calls.append(inputs)
+            return real(analyzer, inputs)
+
+        with mock.patch.object(TimingAnalyzer, "_normalize_inputs",
+                               counting):
+            analyzer.analyze(stale)
+            analyzer.analyze(analyzer._normalize_inputs(inputs))
+            TimingAnalyzer(rca4).analyze(stale)
+        assert len(calls) == 3
+        assert calls[0] is stale and calls[1] is inputs and calls[2] is stale
 
 
 class TestBatchPerf:

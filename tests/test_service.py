@@ -692,6 +692,29 @@ class TestInternalErrors:
         assert "RuntimeError: boom" in err
 
 
+class TestNormalizeOnce:
+    def test_each_vector_is_normalized_once(self, service):
+        """The daemon checks each vector of a request before it runs the
+        batch, and analyzes what the check returned."""
+        real = TimingAnalyzer._normalize_inputs
+        calls = []
+
+        def counting(analyzer, inputs):
+            calls.append(inputs)
+            return real(analyzer, inputs)
+
+        vectors = [(f"v{index}", _vec(a=index * 1e-10)) for index in range(3)]
+        with mock.patch.object(TimingAnalyzer, "_normalize_inputs",
+                               counting):
+            served = service.client.analyze(NAND_SIM, vectors,
+                                            characterize=False)
+        assert len(calls) == 3
+        network = sim_format.loads(NAND_SIM, CMOS3)
+        for (_, inputs), answer in zip(vectors, served):
+            reference = TimingAnalyzer(network).analyze(inputs)
+            assert answer.arrivals == _wire_arrivals(reference)
+
+
 class TestCoalescing:
     def test_concurrent_same_netlist_requests_coalesce(self):
         # Hold the dispatcher hostage with a slow first batch so the next
