@@ -14,14 +14,14 @@ import random
 
 import pytest
 
-from repro.circuits import decoder, ripple_carry_adder
+from repro.circuits import decoder, inverter_chain, ripple_carry_adder
 from repro.core.models import characterize_technology
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.core.timing.paths import compile_template, enumerate_paths
 from repro.core.timing.stage_iso import stage_signature, translate_path
 from repro.netlist import sim_format
 from repro.switchlevel import Logic, SwitchSimulator
-from repro.tech import CMOS3, Transition
+from repro.tech import CMOS3, NMOS4, Transition
 from repro.verify.generate import generate_case
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
@@ -180,7 +180,8 @@ def test_cold_analysis_counters_pinned(build, counts):
 #: Every counter one cold analysis reports, per case of the pin above:
 #: the worklist, candidate-loop and memo counters that pin does not
 #: name, and that the suite's ``models.memo_hit_rate`` and
-#: ``timing.stale_pop_rate`` read, are pinned here with the rest.
+#: ``timing.stale_pop_rate`` read, are pinned here with the rest.  The
+#: nMOS chain adds the depletion-load stages the CMOS cases lack.
 _COLD_COUNTERS = {
     "rca32": {
         "arrival_updates": 1408, "candidates": 5984, "kernel_batches": 298,
@@ -206,6 +207,13 @@ _COLD_COUNTERS = {
         "stage_visits": 352, "tree_template_hits": 588,
         "tree_template_misses": 24, "worklist_pushes": 384,
         "worklist_stale_pops": 32},
+    "nmos-chain4": {
+        "arrival_updates": 8, "candidates": 8, "kernel_batches": 8,
+        "kernel_nodes": 16, "model_cache_misses": 8, "model_evals": 8,
+        "path_enumerations": 4, "stage_full_evals": 4,
+        "stage_incremental_evals": 4, "stage_visits": 8,
+        "tree_template_hits": 4, "tree_template_misses": 4,
+        "worklist_pushes": 12, "worklist_stale_pops": 4},
 }
 
 
@@ -214,7 +222,8 @@ _COLD_COUNTERS = {
     ("dec5", lambda: decoder(CMOS3, 5)),
     ("rca32-characterized",
      lambda: ripple_carry_adder(characterize_technology(CMOS3), 32)),
-], ids=["rca32", "dec5", "rca32-characterized"])
+    ("nmos-chain4", lambda: inverter_chain(NMOS4, 4)),
+], ids=["rca32", "dec5", "rca32-characterized", "nmos-chain4"])
 def test_cold_analysis_counter_dicts_pinned(case, build):
     """The whole counter dict of the same cold analyses, keys included:
     a counter that appears, vanishes or moves is different work."""
