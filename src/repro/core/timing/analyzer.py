@@ -1,7 +1,6 @@
 """The static timing analyzer (the Crystal of the reproduction).
 
-Incremental event-driven worst-case arrival propagation over the stage
-graph:
+Event-driven worst-case arrival propagation over the stage graph:
 
 1. every primary input contributes an initial event (rise and/or fall at a
    user-given time and slope);
@@ -16,8 +15,7 @@ graph:
    key.  Each isomorphism class is compiled once into a candidate
    program on its representative stage (:mod:`.stage_iso`); a stage's
    tables map that program's trigger slots through the stage's slot ->
-   node vector.  The first visit evaluates every candidate; later
-   visits re-evaluate only those whose trigger event actually changed;
+   node vector.  Every visit evaluates every candidate of the stage;
 4. delay-model answers are memoized per class: one row per memo key
    ``(representative stage, target, transition, path, trigger kind)``,
    mapping an input slope to its stage delay — isomorphic stages share
@@ -43,9 +41,10 @@ commit order, and the reports break time ties by event id
 Ties are broken deterministically: when two candidates arrive within the
 relative epsilon of each other, the one with the smaller canonical rank
 (path enumeration order, then trigger order) wins, regardless of the order
-in which the engine happened to discover them.  This makes the incremental
-engine's output bit-identical to a brute-force full re-evaluation
-(``incremental=False``), which the regression tests assert.
+in which the engine happened to discover them.  This makes the fixpoint
+independent of the order the worklist visits stages in, so a delta run
+or a reordered sweep is bit-identical to a cold analysis, which the
+regression tests and ``repro.verify`` assert.
 """
 
 from __future__ import annotations
@@ -525,14 +524,6 @@ class TimingAnalyzer:
         given, nodes whose value provably does not change produce no
         events — the single-vector transition pruning Crystal performed
         with simulator-supplied node values.
-    incremental:
-        ``True`` (default) enables demand-driven stage re-evaluation:
-        after a stage's first exhaustive visit, only the delay candidates
-        whose upstream trigger actually changed are recomputed.  ``False``
-        re-evaluates every internal node × transition of a stage on every
-        visit — the brute-force reference the regression tests compare
-        against.  Both modes share the worklist, the memo cache, and the
-        deterministic tie-break, so their outputs are identical.
 
     Caching and invalidation
     ------------------------
@@ -557,13 +548,11 @@ class TimingAnalyzer:
 
     def __init__(self, network: Network, model: Optional[DelayModel] = None,
                  states: Optional[StateMap] = None,
-                 initial_states: Optional[StateMap] = None,
-                 incremental: bool = True):
+                 initial_states: Optional[StateMap] = None):
         self.network = network
         self.model = model if model is not None else SlopeModel()
         self.states = states
         self.initial_states = initial_states
-        self.incremental = incremental
         #: cumulative counters over every ``analyze()`` of this instance
         self.perf = PerfCounters()
         self._run_perf: Optional[PerfCounters] = None
@@ -676,7 +665,7 @@ class TimingAnalyzer:
         propagation invalidates carryover so the next delta run is
         bit-identical to a cold analysis).  Counters: ``delta_scenarios``,
         ``input_delta``, ``cone_stages`` and ``stages_skipped`` (the
-        static dirty cone), ``stage_full_evals`` (the stages actually
+        static dirty cone), ``stage_visits`` (the stages actually
         re-evaluated), ``arrivals_reused``.
         """
         if self._carryover is None:
@@ -854,17 +843,17 @@ class TimingAnalyzer:
         """Drive the priority worklist to its fixpoint; return how many
         carried-over arrivals it dropped.
 
-        *seeds* are events scheduled against the stages they trigger;
+        *seeds* are events scheduled against the stages they sensitize;
         *forced* stage indices (the delta path's loop stages) are
-        additionally guaranteed one exhaustive evaluation even if no seed
-        reaches them.
+        additionally guaranteed one evaluation even if no seed reaches
+        them.  Every visit evaluates the whole stage.
 
         *carried* is the previous run's arrivals, which a delta run's
         *arrivals* start from.  An event then schedules a stage that is
         neither evaluated in this run nor forced only when it moved
         (:func:`_moved`).  A stage's first visit drops its internal
-        arrivals and recomputes them exhaustively; the events that do not
-        come back have vanished, and are scheduled too.
+        arrivals and recomputes them; the events that do not come back
+        have vanished, and are scheduled too.
 
         The worklist counters are kept in locals and added to *perf* once,
         when the run ends or raises.
@@ -873,50 +862,44 @@ class TimingAnalyzer:
         levels = self.graph.levels()
         sensitivity = self.graph.sensitivity
         internal = self.graph.internal
-        pending: Dict[int, Set[int]] = {}
+        pending: Set[int] = set()
         scheduled: Dict[int, Tuple[int, float]] = {}
         heap: List[Tuple[int, float, int]] = []
         evaluated: Set[int] = set()
         dropped = 0
-        pushes = stale = visited = full = incremental = 0
+        pushes = stale = visited = 0
 
         # Priority: topological level first (a stage pops only after every
         # acyclic predecessor has settled — single-visit convergence on
         # feed-forward logic), earliest pending arrival time as tie-break
         # within a level; a vanished event sorts last.
-        def schedule(event: int) -> None:
+        def push(index: int, time: float) -> None:
             nonlocal pushes
+            pending.add(index)
+            priority = (levels[index], time)
+            best = scheduled.get(index)
+            if best is None or priority < best:
+                scheduled[index] = priority
+                heapq.heappush(heap, (priority[0], time, index))
+                pushes += 1
+
+        def schedule(event: int) -> None:
             arrival = arrivals.get(event)
             time = math.inf if arrival is None else arrival.time
             moved = carried is None or _moved(carried.get(event), arrival)
             for index in sensitivity[event >> 1]:
-                if not (moved or index in evaluated or index in forced):
-                    continue
-                pending.setdefault(index, set()).add(event)
-                priority = (levels[index], time)
-                best = scheduled.get(index)
-                if best is None or priority < best:
-                    scheduled[index] = priority
-                    heapq.heappush(heap, (priority[0], priority[1], index))
-                    pushes += 1
+                if moved or index in evaluated or index in forced:
+                    push(index, time)
 
         try:
             for event in seeds:
                 schedule(event)
-
             # Forced stages sort after natural activity within their level
             # (time = +inf) — by the time one pops, its level's upstream
-            # traffic has been drained, so the exhaustive visit is usually
-            # final, exactly like a cold run's first visit.
-            force_pending: Set[int] = set()
+            # traffic has been drained, so the visit is usually final,
+            # exactly like a cold run's first visit.
             for index in sorted(forced):
-                force_pending.add(index)
-                priority = (levels[index], math.inf)
-                best = scheduled.get(index)
-                if best is None or priority < best:
-                    scheduled[index] = priority
-                    heapq.heappush(heap, (priority[0], priority[1], index))
-                    pushes += 1
+                push(index, math.inf)
 
             visits: Dict[int, int] = {}
             tracer = _trace_current()
@@ -924,52 +907,34 @@ class TimingAnalyzer:
                 level, time, index = heapq.heappop(heap)
                 if scheduled.get(index) == (level, time):
                     del scheduled[index]
-                events = pending.pop(index, None)
-                if not events:
-                    if index not in force_pending or index in evaluated:
-                        # Nothing pending and no outstanding forced visit
-                        # (or the forced visit already happened naturally).
-                        force_pending.discard(index)
-                        stale += 1
-                        continue
-                force_pending.discard(index)
+                if index not in pending:
+                    stale += 1
+                    continue
+                pending.remove(index)
                 stage = stages[index]
                 visits[index] = visits.get(index, 0) + 1
                 if visits[index] > self.MAX_STAGE_VISITS:
                     nodes = ", ".join(sorted(stage.internal_nodes))
                     raise TimingError(f"timing loop through stage [{nodes}]")
                 visited += 1
-                incremental_visit = bool(self.incremental
-                                         and index in evaluated and events)
-                scope = (tracer.span("stage_eval", stage=index, level=level,
-                                     mode=("incremental" if incremental_visit
-                                           else "full"))
-                         if tracer is not None else NULL_SCOPE)
-                with scope:
-                    if incremental_visit:
-                        incremental += 1
-                        changed = self._evaluate_incremental(
-                            stage, events, arrivals, ranks)
-                    else:
-                        gone: List[int] = []
-                        if carried is not None and index not in evaluated:
-                            gone = [event for node in internal[index]
-                                    for event in (2 * node, 2 * node + 1)
-                                    if arrivals.pop(event, None) is not None]
-                            dropped += len(gone)
-                        evaluated.add(index)
-                        full += 1
-                        changed = self._evaluate_full(stage, arrivals, ranks)
-                        changed += [event for event in gone
-                                    if event not in arrivals]
+                with (tracer.span("stage_eval", stage=index, level=level)
+                      if tracer is not None else NULL_SCOPE):
+                    gone: List[int] = []
+                    if carried is not None and index not in evaluated:
+                        gone = [event for node in internal[index]
+                                for event in (2 * node, 2 * node + 1)
+                                if arrivals.pop(event, None) is not None]
+                        dropped += len(gone)
+                    evaluated.add(index)
+                    changed = self._evaluate_full(stage, arrivals, ranks)
+                    changed += [event for event in gone
+                                if event not in arrivals]
                 for event in changed:
                     schedule(event)
         finally:
             for name, count in (("worklist_pushes", pushes),
                                 ("worklist_stale_pops", stale),
-                                ("stage_visits", visited),
-                                ("stage_full_evals", full),
-                                ("stage_incremental_evals", incremental)):
+                                ("stage_visits", visited)):
                 if count:
                     perf.incr(name, count)
         return dropped
@@ -1146,19 +1111,15 @@ class TimingAnalyzer:
         )
 
     def _answer_misses(self, stage_index: int, table: _Candidates,
-                       start: int, arrivals: Mapping[int, Arrival],
-                       only: Optional[Set[int]]) -> int:
+                       start: int, arrivals: Mapping[int, Arrival]) -> int:
         """Fill the memo rows of the table's candidates from rank *start*
-        on (those fed by *only*, when given): their distinct (memo key,
-        slope) misses go to the model in first-seen order, as one
-        :meth:`DelayModel.evaluate_many` batch.  Returns how many."""
+        on: their distinct (memo key, slope) misses go to the model in
+        first-seen order, as one :meth:`DelayModel.evaluate_many` batch.
+        Returns how many."""
         rows, keys = table.group.rows, table.group.keys
         misses: Dict[Tuple[int, float], None] = {}
         for rank in range(start, len(keys)):
-            event = table.triggers[rank]
-            if only is not None and event not in only:
-                continue
-            upstream = arrivals.get(event)
+            upstream = arrivals.get(table.triggers[rank])
             if upstream is not None and upstream.slope not in rows[rank]:
                 misses[(keys[rank], upstream.slope)] = None
         requests = [self._request_for(memo, slope) for memo, slope in misses]
@@ -1203,14 +1164,7 @@ class TimingAnalyzer:
 
     def _evaluate_full(self, stage: Stage, arrivals: Dict[int, Arrival],
                        ranks: List[int]) -> List[int]:
-        """Recompute every internal-node arrival; return changed events."""
-        return self._evaluate_incremental(stage, None, arrivals, ranks)
-
-    def _evaluate_incremental(self, stage: Stage, events: Optional[Set[int]],
-                              arrivals: Dict[int, Arrival],
-                              ranks: List[int]) -> List[int]:
-        """Re-evaluate only the candidates fed by *events* (every
-        candidate when None); return changed events.
+        """Recompute every internal-node arrival; return changed events.
 
         Targets are evaluated (and committed) one at a time, in canonical
         order, because a feedback stage's own internal node can be an
@@ -1237,21 +1191,17 @@ class TimingAnalyzer:
         try:
             for table in self._table_for(stage):
                 triggers = table.triggers
-                if events is not None and events.isdisjoint(triggers):
-                    continue
                 rows = table.group.rows
                 best_rank = _PRIMARY_RANK
                 best_time = 0.0
                 for rank, event in enumerate(triggers):
-                    if events is not None and event not in events:
-                        continue
                     upstream = get(event)
                     if upstream is None:
                         continue
                     answer = rows[rank].get(upstream.slope)
                     if answer is None:
                         misses += self._answer_misses(stage.index, table,
-                                                      rank, arrivals, events)
+                                                      rank, arrivals)
                         answer = rows[rank][upstream.slope]
                     candidates += 1
                     time = upstream.time + answer.delay

@@ -6,6 +6,12 @@ the stage graph has an edge S → T whenever an internal node of S gates a
 transistor of T.  Driven inputs additionally fan out to every stage they
 either gate or touch as a channel boundary (pass chains).
 
+One gate is left out: a stage's own node that gates only depletion
+devices of that stage.  The delay models treat a depletion load as
+always on, so its gate never triggers a path; an nMOS load's gate is
+tied to its own output, and listing it would only make the stage
+re-schedule itself and read as a feedback cycle.
+
 The graph also exposes a topological *levelization*: ``level(stage)`` is
 the length of the longest predecessor chain feeding the stage.  The
 analyzer's priority worklist pops stages in level order, which on
@@ -26,6 +32,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ...netlist import Network, NodeRole
 from ...netlist.stages import Stage, StageMap
+from ...tech import DeviceKind
 
 
 @dataclass
@@ -64,7 +71,10 @@ class StageGraph:
         ids = dict(zip(names, range(len(names))))
         sensitivity: List[List[int]] = [[] for _ in names]
         for stage in stage_map.stages:
-            for node in stage.gate_inputs | stage.boundary_nodes:
+            gates = stage.gate_inputs
+            if stage.self_loop:
+                gates = _without_depletion_ties(stage)
+            for node in gates | stage.boundary_nodes:
                 sensitivity[ids[node]].append(stage.index)
         return cls(stage_map=stage_map, node_ids=ids, node_names=names,
                    driven=[node.is_driven_externally for node in nodes],
@@ -204,3 +214,13 @@ class StageGraph:
                     color[index] = BLACK
                     stack.pop()
         return False
+
+
+def _without_depletion_ties(stage: Stage) -> FrozenSet[str]:
+    """The stage's gate nets less its own nodes that gate only its
+    depletion devices (the module docstring says why)."""
+    switching = {device.gate for device in stage.transistors
+                 if device.kind is not DeviceKind.NMOS_DEP}
+    internal = stage.internal_nodes
+    return frozenset(gate for gate in stage.gate_inputs
+                     if gate in switching or gate not in internal)

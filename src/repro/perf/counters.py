@@ -1,6 +1,6 @@
 """Performance counters and timers for the timing engine.
 
-The incremental analyzer (and anything else that wants observability)
+The timing analyzer (and anything else that wants observability)
 increments named counters and wraps hot sections in named timers.  A
 :class:`PerfCounters` instance is cheap enough to keep always-on: an
 increment is one dict operation, a timer two ``perf_counter`` calls.
@@ -23,9 +23,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Counters the timing engine emits, in display order, with a short gloss.
 STANDARD_COUNTERS: Dict[str, str] = {
-    "stage_visits": "worklist pops that evaluated a stage",
-    "stage_full_evals": "stages evaluated exhaustively (first visit / reference mode; in a delta run, the stages re-evaluated)",
-    "stage_incremental_evals": "stages re-evaluated for changed triggers only",
+    "stage_visits": "worklist pops that evaluated a stage (all of its candidates)",
     "worklist_pushes": "stage activations pushed on the worklist",
     "worklist_stale_pops": "worklist pops with nothing pending (deduped)",
     "candidates": "(path, trigger) delay candidates considered",
@@ -204,7 +202,7 @@ class BatchPerf:
         """Fraction of stages outside the changed inputs' static dirty
         cones, which the delta engine keeps without a look, or None when
         the sweep never ran in delta mode.  Inside a cone only the stages
-        whose triggers moved are re-evaluated (``stage_full_evals``)."""
+        whose triggers moved are re-evaluated (``stage_visits``)."""
         total = self.total
         cone = total.get("cone_stages")
         skipped = total.get("stages_skipped")

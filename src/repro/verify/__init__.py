@@ -2,9 +2,9 @@
 invariants, and a failing-netlist shrinker.
 
 The package closes the loop on the equivalence contracts the rest of the
-repo asserts piecemeal (incremental == reference, delta == full sweep):
+repo asserts piecemeal (delta == full sweep, any order == given order):
 it *generates* random switch-level netlists, runs each through the whole
-engine-mode matrix, compares every mode against the brute-force
+engine-mode matrix, compares every mode against the serial full-analysis
 reference, layers invariants on top (the RC-tree kernel against its
 O(N^2) scalar definition, and model-level metamorphic checks), and
 delta-debugs any failure down to a minimal ``.sim``/``.vec`` reproducer

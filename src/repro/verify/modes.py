@@ -1,15 +1,15 @@
 """The engine-mode matrix: every way this library can compute arrivals.
 
 An :class:`EngineMode` freezes one complete engine configuration —
-incremental vs. brute-force reference, dirty-cone delta re-analysis,
-analysis ordering.  :func:`run_mode` executes one case under one mode
+a full analysis of every vector or dirty-cone delta re-analysis, and
+the analysis order.  :func:`run_mode` executes one case under one mode
 through the stock sweep engine (so the conformance runner exercises
 exactly the code paths users hit) and reduces the result to a
 comparable :class:`ModeOutcome`.
 
-Every mode must be **bit-identical** to :data:`REFERENCE`, the
-brute-force serial analysis (``incremental=False``, no delta) — that is
-the repo-wide equivalence contract of DESIGN.md §5b/§5e.
+Every mode must be **bit-identical** to :data:`REFERENCE`, the serial
+analysis of every vector in its given order, no delta — that is the
+repo-wide equivalence contract of DESIGN.md §5b/§5e.
 """
 
 from __future__ import annotations
@@ -42,19 +42,17 @@ class EngineMode:
     """One frozen engine configuration."""
 
     name: str
-    incremental: bool = True
     delta: bool = False
     order: str = "given"
 
 
-#: The brute-force baseline every other mode is compared against.
-REFERENCE = EngineMode(name="reference", incremental=False)
+#: The baseline every other mode is compared against.
+REFERENCE = EngineMode(name="reference")
 
 #: The stock matrix, in execution order.
 MODES: Dict[str, EngineMode] = {
     mode.name: mode for mode in (
         REFERENCE,
-        EngineMode(name="incremental"),
         EngineMode(name="delta", delta=True),
         EngineMode(name="delta-greedy", delta=True, order="greedy"),
     )
@@ -119,8 +117,7 @@ def run_mode(case: ConformanceCase, mode: EngineMode,
              model_name: str = "slope") -> ModeOutcome:
     """Execute *case* under *mode* via the stock sweep engine."""
     model = MODEL_FACTORIES[model_name]()
-    analyzer = TimingAnalyzer(case.network, model=model,
-                              incremental=mode.incremental)
+    analyzer = TimingAnalyzer(case.network, model=model)
     sweep = run_sweep(case.network, ExplicitVectors(list(case.vectors)),
                       analyzer=analyzer, delta=mode.delta,
                       order=mode.order)

@@ -2,7 +2,7 @@
 
 :func:`check_case` encodes the comparability contract of
 :mod:`repro.verify.modes`: every mode is compared **bit-identically**
-against the brute-force serial reference, which runs once per case
+against the serial full-analysis reference, which runs once per case
 whether or not the mode list names it.
 
 :class:`ConformanceRunner` drives the case stream, layers the

@@ -1,14 +1,11 @@
 """Property-based differential tests: every fast path vs its reference.
 
 Random feed-forward gate networks × random input vectors, asserting
-three engines agree bit-identically on every (event → time, slope,
-cause) triple:
-
-* ``incremental=True`` (demand-driven re-evaluation, PR 1's fast path),
-* ``incremental=False`` (the brute-force reference),
-* batched ``analyze_many()`` through one shared analyzer (this PR's
-  fast path — it must inherit the equivalence guarantee even though its
-  caches are warm with other vectors' work).
+that batched ``analyze_many()`` through one shared analyzer, and the
+sweep engine on top of it, agree bit-identically on every (event →
+time, slope, cause) triple with a fresh analyzer per vector: the shared
+analyzer must keep the answers although its caches are warm with other
+vectors' work.
 
 Maier's "Gain and Pain of a Reliable Delay Model" point: a fast delay
 model is only trustworthy while it is continuously checked against its
@@ -61,31 +58,27 @@ def assert_identical(result, reference, context):
 class TestRandomNetworksRandomVectors:
     @settings(max_examples=12, deadline=None)
     @given(recipe=gate_recipe, vecs=vector_recipe)
-    def test_batched_equals_incremental_equals_reference(self, recipe, vecs):
+    def test_batched_equals_fresh(self, recipe, vecs):
         net, inputs, _, _ = build_dag(CMOS3, recipe)
         vectors = _vectors_from_recipe(inputs, vecs)
 
         batched = TimingAnalyzer(net).analyze_many(vectors)
         for index, (spec, batch_result) in enumerate(zip(vectors, batched)):
-            fast = TimingAnalyzer(net, incremental=True).analyze(spec)
-            reference = TimingAnalyzer(net,
-                                       incremental=False).analyze(spec)
-            assert_identical(fast, reference, ("incremental", index))
-            assert_identical(batch_result, reference, ("batched", index))
+            fresh = TimingAnalyzer(net).analyze(spec)
+            assert_identical(batch_result, fresh, ("batched", index))
 
     @settings(max_examples=8, deadline=None)
     @given(recipe=gate_recipe, seed=st.integers(0, 10 ** 6))
     def test_sweep_engine_equals_reference(self, recipe, seed):
-        """The full sweep engine (vector source + run_sweep) against the
-        brute-force reference, per scenario."""
+        """The full sweep engine (vector source + run_sweep) against a
+        fresh analyzer per scenario."""
         net, inputs, _, _ = build_dag(CMOS3, recipe)
         source = ExplicitVectors(list(RandomVectors(
             input_names=inputs, count=3, seed=seed, span=1e-9,
             slope=0.3e-9)))
         sweep = run_sweep(net, source)
         for outcome in sweep.outcomes:
-            reference = TimingAnalyzer(net, incremental=False).analyze(
-                outcome.vector.inputs)
+            reference = TimingAnalyzer(net).analyze(outcome.vector.inputs)
             assert_identical(outcome.result, reference, outcome.label)
 
 
@@ -99,6 +92,6 @@ class TestAdderSweepDifferential:
                                seed=2026, span=2e-9, slope=0.3e-9)
         sweep = run_sweep(network, source)
         for outcome in sweep.outcomes:
-            reference = TimingAnalyzer(network, incremental=False).analyze(
+            reference = TimingAnalyzer(network).analyze(
                 outcome.vector.inputs)
             assert_identical(outcome.result, reference, outcome.label)

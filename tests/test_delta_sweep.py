@@ -453,7 +453,6 @@ def test_delta_sweep_counter_totals_pinned(cmos3_shipped, rca32_gray_inputs):
         "input_delta": 63, "kernel_batches": 257, "kernel_nodes": 1836,
         "model_cache_hits": 15011, "model_cache_misses": 612,
         "model_evals": 612, "path_enumerations": 16,
-        "stage_full_evals": 919, "stage_visits": 919,
-        "stages_skipped": 20277, "tree_template_hits": 588,
+        "stage_visits": 919, "stages_skipped": 20277, "tree_template_hits": 588,
         "tree_template_misses": 24, "worklist_pushes": 1014,
         "worklist_stale_pops": 95}

@@ -187,33 +187,32 @@ _COLD_COUNTERS = {
         "arrival_updates": 1408, "candidates": 5984, "kernel_batches": 298,
         "kernel_nodes": 2133, "model_cache_hits": 5273,
         "model_cache_misses": 711, "model_evals": 711,
-        "path_enumerations": 16, "stage_full_evals": 352,
-        "stage_visits": 352, "tree_template_hits": 687,
+        "path_enumerations": 16, "stage_visits": 352,
+        "tree_template_hits": 687,
         "tree_template_misses": 24, "worklist_pushes": 384,
         "worklist_stale_pops": 32},
     "dec5": {
         "arrival_updates": 394, "candidates": 7434, "kernel_batches": 28,
         "kernel_nodes": 780, "model_cache_hits": 7300,
         "model_cache_misses": 134, "model_evals": 134,
-        "path_enumerations": 14, "stage_full_evals": 69,
-        "stage_visits": 69, "tree_template_hits": 100,
+        "path_enumerations": 14, "stage_visits": 69,
+        "tree_template_hits": 100,
         "tree_template_misses": 34, "worklist_pushes": 70,
         "worklist_stale_pops": 1},
     "rca32-characterized": {
         "arrival_updates": 1408, "candidates": 5984, "kernel_batches": 257,
         "kernel_nodes": 1836, "model_cache_hits": 5372,
         "model_cache_misses": 612, "model_evals": 612,
-        "path_enumerations": 16, "stage_full_evals": 352,
-        "stage_visits": 352, "tree_template_hits": 588,
+        "path_enumerations": 16, "stage_visits": 352,
+        "tree_template_hits": 588,
         "tree_template_misses": 24, "worklist_pushes": 384,
         "worklist_stale_pops": 32},
     "nmos-chain4": {
         "arrival_updates": 8, "candidates": 8, "kernel_batches": 8,
         "kernel_nodes": 16, "model_cache_misses": 8, "model_evals": 8,
-        "path_enumerations": 4, "stage_full_evals": 4,
-        "stage_incremental_evals": 4, "stage_visits": 8,
+        "path_enumerations": 4, "stage_visits": 4,
         "tree_template_hits": 4, "tree_template_misses": 4,
-        "worklist_pushes": 12, "worklist_stale_pops": 4},
+        "worklist_pushes": 6, "worklist_stale_pops": 2},
 }
 
 
