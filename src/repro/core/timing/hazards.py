@@ -58,7 +58,7 @@ def _side_of(network: Network, stage: Stage, start: str,
     """Nodes reachable from *start* without crossing *blocked*, through
     devices that are on (or may be on) in *states*; returns (nodes,
     reaches_a_driven_node)."""
-    from .paths import _statically_on  # shared conduction semantics
+    from .paths import _may_conduct  # shared conduction semantics
 
     seen = {start}
     frontier = [start]
@@ -70,7 +70,7 @@ def _side_of(network: Network, stage: Stage, start: str,
                 continue
             if node not in device.channel:
                 continue
-            if not _statically_on(device, states):
+            if not _may_conduct(device, states):
                 continue
             other = device.other_channel_terminal(node)
             if other not in stage.internal_nodes:

@@ -128,18 +128,10 @@ def _may_conduct(device: Transistor, states: Optional[StateMap]) -> bool:
     input event — so a device whose gate is held at the blocking level in
     that state can never be part of a sensitizable path (this is the value
     pruning Crystal performed with user- or simulator-supplied node
-    values).  Unknown gates stay permissive.
+    values).  Unknown gates stay permissive.  A device that may conduct
+    is taken as on without any further input event: it is a path hop, a
+    side branch of an RC tree, and a charge-sharing channel alike.
     """
-    if device.kind is DeviceKind.NMOS_DEP:
-        return True
-    gate = _state(states, device.gate)
-    if device.kind is DeviceKind.NMOS_ENH:
-        return gate is not Logic.ZERO
-    return gate is not Logic.ONE
-
-
-def _statically_on(device: Transistor, states: Optional[StateMap]) -> bool:
-    """Conducts without any further input event."""
     if device.kind is DeviceKind.NMOS_DEP:
         return True
     gate = _state(states, device.gate)
@@ -166,13 +158,12 @@ class StageCaches:
     each call builds what it needs privately.
     """
 
-    __slots__ = ("_pair_index", "_conducting", "_branch", "reach",
+    __slots__ = ("_pair_index", "_conducting", "reach",
                  "edge_resistance", "driven", "bridges")
 
     def __init__(self) -> None:
         self._pair_index = None
         self._conducting = None
-        self._branch = None
         #: (excluded device name, start node) -> reachable node set
         self.reach: Dict[Tuple[str, str], Set[str]] = {}
         #: (element name, transition) -> parallel-merged resistance
@@ -194,12 +185,6 @@ class StageCaches:
         if self._conducting is None:
             self._conducting = _conducting_adjacency(stage, states)
         return self._conducting
-
-    def branch_adjacency(self, stage: Stage, states: Optional[StateMap]
-                         ) -> Dict[str, List[Tuple[Element, str]]]:
-        if self._branch is None:
-            self._branch = _branch_adjacency(stage, states)
-        return self._branch
 
 
 def enumerate_paths(network: Network, stage: Stage, target: str,
@@ -275,8 +260,9 @@ def enumerate_paths(network: Network, stage: Stage, target: str,
 def _conducting_adjacency(stage: Stage, states: Optional[StateMap]
                           ) -> Dict[str, List[Tuple[Element, str]]]:
     """Node -> [(element, neighbor)] over possibly-conducting elements,
-    built once per (stage, states) traversal instead of rescanning the
-    stage's device list for every visited node."""
+    built once per (stage, states) instead of rescanning the stage's
+    device list for every visited node: what the path DFS and the side
+    branches of a tree build walk."""
     adjacency: Dict[str, List[Tuple[Element, str]]] = {}
 
     def connect(element: Element, a: str, b: str) -> None:
@@ -320,14 +306,9 @@ def _triggers_for(network: Network, stage: Stage, source: str,
             device_kind=device.kind,
         ))
 
-    path_statically_on = all(
-        (not hop.is_transistor) or _statically_on(hop.element, states)
-        for hop in elements
-    )
-
     # through-trigger: the source itself switching, propagated through an
-    # already-on chain.
-    if source not in (VDD, GND) and path_statically_on:
+    # already-on chain (every hop may conduct: the DFS walks no other).
+    if source not in (VDD, GND):
         event = (source, transition)
         triggers.setdefault(event, Trigger(
             input_node=source,
@@ -336,50 +317,49 @@ def _triggers_for(network: Network, stage: Stage, source: str,
             device_kind=first_kind,
         ))
 
-    # off-triggers: an opposing device releasing the node.  Only relevant
-    # when the path itself conducts without further events.
-    if path_statically_on:
-        path_element_names = {e.element.name for e in elements}
-        bridges_cache = caches.bridges
-        target = elements[-1].to_node if elements else source
-        for device in stage.transistors:
-            if device.name in path_element_names:
-                continue
-            if device.kind is DeviceKind.NMOS_DEP:
-                continue
-            gate = device.gate
-            if gate in (VDD, GND):
-                continue
-            # With known states, the opposing device must actually end up
-            # OFF after the event; a gate settled at the conducting level
-            # never released the node.
-            gate_state = _state(states, gate)
-            conducting_level = (Logic.ONE if device.kind is DeviceKind.NMOS_ENH
-                                else Logic.ZERO)
-            if gate_state is conducting_level:
-                continue
-            # A genuine opposing device bridges the target to a source of
-            # the *opposite* level: one channel terminal must reach the
-            # target and the other an opposing source, both without going
-            # through the device itself.  (A pass device into a dead-end
-            # storage node fails this and is correctly ignored.)  The
-            # answer depends only on (device, target, transition), so it
-            # is shared by every path of the stage ending at the target.
-            bridge_key = (device.name, target, transition)
-            bridges = bridges_cache.get(bridge_key)
-            if bridges is None:
-                bridges = bridges_cache[bridge_key] = _bridges_opposition(
-                    network, stage, device, target, transition, adjacency,
-                    caches)
-            if not bridges:
-                continue
-            event = (gate, _turn_off_transition(device.kind))
-            triggers.setdefault(event, Trigger(
-                input_node=gate,
-                input_transition=event[1],
-                mechanism="off",
-                device_kind=first_kind,
-            ))
+    # off-triggers: an opposing device releasing the node through the
+    # same already-on chain.
+    path_element_names = {e.element.name for e in elements}
+    bridges_cache = caches.bridges
+    target = elements[-1].to_node if elements else source
+    for device in stage.transistors:
+        if device.name in path_element_names:
+            continue
+        if device.kind is DeviceKind.NMOS_DEP:
+            continue
+        gate = device.gate
+        if gate in (VDD, GND):
+            continue
+        # With known states, the opposing device must actually end up
+        # OFF after the event; a gate settled at the conducting level
+        # never released the node.
+        gate_state = _state(states, gate)
+        conducting_level = (Logic.ONE if device.kind is DeviceKind.NMOS_ENH
+                            else Logic.ZERO)
+        if gate_state is conducting_level:
+            continue
+        # A genuine opposing device bridges the target to a source of
+        # the *opposite* level: one channel terminal must reach the
+        # target and the other an opposing source, both without going
+        # through the device itself.  (A pass device into a dead-end
+        # storage node fails this and is correctly ignored.)  The
+        # answer depends only on (device, target, transition), so it
+        # is shared by every path of the stage ending at the target.
+        bridge_key = (device.name, target, transition)
+        bridges = bridges_cache.get(bridge_key)
+        if bridges is None:
+            bridges = bridges_cache[bridge_key] = _bridges_opposition(
+                network, stage, device, target, transition, adjacency,
+                caches)
+        if not bridges:
+            continue
+        event = (gate, _turn_off_transition(device.kind))
+        triggers.setdefault(event, Trigger(
+            input_node=gate,
+            input_transition=event[1],
+            mechanism="off",
+            device_kind=first_kind,
+        ))
     return list(triggers.values())
 
 
@@ -496,7 +476,7 @@ def _static_pair_index(stage: Stage, states: Optional[StateMap]
     (transistors that conduct without further events, plus resistors)."""
     index: Dict[FrozenSet[str], List[Element]] = {}
     for device in stage.transistors:
-        if _statically_on(device, states):
+        if _may_conduct(device, states):
             index.setdefault(frozenset(device.channel), []).append(device)
     for res in stage.resistors:
         index.setdefault(frozenset((res.node_a, res.node_b)),
@@ -531,24 +511,6 @@ def _merged_edge_resistance(network: Network, element: Element,
     if cache is not None:
         cache[key] = resistance
     return resistance
-
-
-def _branch_adjacency(stage: Stage, states: Optional[StateMap]
-                      ) -> Dict[str, List[Tuple[Element, str]]]:
-    """Node -> [(element, neighbor)] over *statically* conducting elements
-    — what the side-branch BFS of a tree build walks."""
-    adjacency: Dict[str, List[Tuple[Element, str]]] = {}
-
-    def connect(element: Element, a: str, b: str) -> None:
-        adjacency.setdefault(a, []).append((element, b))
-        adjacency.setdefault(b, []).append((element, a))
-
-    for device in stage.transistors:
-        if _statically_on(device, states):
-            connect(device, device.source, device.drain)
-    for res in stage.resistors:
-        connect(res, res.node_a, res.node_b)
-    return adjacency
 
 
 def compile_template(network: Network, stage: Stage, path: SensitizedPath,
@@ -591,10 +553,10 @@ def compile_template(network: Network, stage: Stage, path: SensitizedPath,
 
     if include_branches:
         # Side branches: breadth-first from every path node through
-        # devices that conduct (statically), stopping at driven nodes and
-        # at nodes already in the tree (re-convergent structures are
-        # approximated by first-found attachment).
-        static_adjacency = caches.branch_adjacency(stage, states)
+        # devices that conduct, stopping at driven nodes and at nodes
+        # already in the tree (re-convergent structures are approximated
+        # by first-found attachment).
+        static_adjacency = caches.conducting_adjacency(stage, states)
         frontier = [n for n in path.nodes if n in stage.internal_nodes]
         seen = set(names)
         while frontier:
