@@ -46,13 +46,7 @@ from .batch import (
     parse_timing_token,
 )
 from .batch.vectors import with_default_slope
-from .core.models import (
-    LumpedRCModel,
-    RCTreeModel,
-    SlopeModel,
-    characterize_technology,
-    fit_technology,
-)
+from .core.models import MODELS, characterize_technology, fit_technology
 from .core.models.characterize import table_summary
 from .core.timing import (
     TimingAnalyzer,
@@ -65,12 +59,6 @@ from .netlist import Network, sim_format
 from .switchlevel import Logic
 from .tech import TECHNOLOGIES, Technology, Transition, save_technology
 from .units import parse_value
-
-MODELS = {
-    "lumped-rc": LumpedRCModel,
-    "rc-tree": RCTreeModel,
-    "slope": SlopeModel,
-}
 
 
 def _tech(name: str, characterized: bool) -> Technology:

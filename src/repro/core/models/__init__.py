@@ -18,6 +18,10 @@ from .characterize import (
 
 ALL_MODELS = (LumpedRCModel, RCTreeModel, SlopeModel)
 
+#: Delay-model classes by name (the CLI's ``--model``, the service's
+#: ``model`` field, the conformance runner's model under test).
+MODELS = {model.name: model for model in ALL_MODELS}
+
 
 def standard_models():
     """Fresh instances of the three models, in the paper's order."""
@@ -42,5 +46,6 @@ __all__ = [
     "fixtures_for",
     "table_summary",
     "ALL_MODELS",
+    "MODELS",
     "standard_models",
 ]

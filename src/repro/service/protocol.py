@@ -49,12 +49,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..batch.vectors import Vector, format_timing_token, parse_timing_token
-from ..core.models import (
-    LumpedRCModel,
-    RCTreeModel,
-    SlopeModel,
-    characterize_technology,
-)
+from ..core.models import MODELS, characterize_technology
 from ..core.timing.analyzer import Arrival, InputSpec, TimingResult
 from ..errors import ReproError, ServiceError
 from ..tech import TECHNOLOGIES, Technology, Transition
@@ -70,12 +65,6 @@ __all__ = [
     "encode_inputs",
     "parse_analyze_request",
 ]
-
-MODELS = {
-    "lumped-rc": LumpedRCModel,
-    "rc-tree": RCTreeModel,
-    "slope": SlopeModel,
-}
 
 #: The wire edge of an event int's transition bit (``2 * node id +
 #: transition``, transitions in enum order): "rise", "fall".

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from ..batch import ExplicitVectors, run_sweep
-from ..core.models import LumpedRCModel, RCTreeModel, SlopeModel
+from ..core.models import MODELS
 from ..core.timing import (TimingAnalyzer, find_charge_sharing_hazards,
                            format_hazard_report)
 from ..core.timing.analyzer import Arrival, Event
@@ -26,15 +26,8 @@ from ..errors import ReproError
 from .generate import ConformanceCase
 
 __all__ = ["EngineMode", "ModeOutcome", "MODES", "DEFAULT_MODE_NAMES",
-           "MODEL_FACTORIES", "REFERENCE", "default_modes", "parse_modes",
-           "mode_from_name", "run_mode"]
-
-#: Delay-model factories by CLI name (mirrors ``repro.cli.MODELS``).
-MODEL_FACTORIES = {
-    "lumped-rc": LumpedRCModel,
-    "rc-tree": RCTreeModel,
-    "slope": SlopeModel,
-}
+           "REFERENCE", "default_modes", "parse_modes", "mode_from_name",
+           "run_mode"]
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,7 @@ def _setup_report(case: ConformanceCase, result) -> str:
 def run_mode(case: ConformanceCase, mode: EngineMode,
              model_name: str = "slope") -> ModeOutcome:
     """Execute *case* under *mode* via the stock sweep engine."""
-    model = MODEL_FACTORIES[model_name]()
+    model = MODELS[model_name]()
     analyzer = TimingAnalyzer(case.network, model=model)
     sweep = run_sweep(case.network, ExplicitVectors(list(case.vectors)),
                       analyzer=analyzer, delta=mode.delta,
