@@ -72,8 +72,13 @@ class StageGraph:
         sensitivity: List[List[int]] = [[] for _ in names]
         for stage in stage_map.stages:
             gates = stage.gate_inputs
-            if stage.self_loop:
-                gates = _without_depletion_ties(stage)
+            own = gates & stage.internal_nodes
+            if own:
+                # Own nodes that gate only depletion devices are left out
+                # (the module docstring says why).
+                gates = gates - (own - {
+                    device.gate for device in stage.transistors
+                    if device.kind is not DeviceKind.NMOS_DEP})
             for node in gates | stage.boundary_nodes:
                 sensitivity[ids[node]].append(stage.index)
         return cls(stage_map=stage_map, node_ids=ids, node_names=names,
@@ -214,13 +219,3 @@ class StageGraph:
                     color[index] = BLACK
                     stack.pop()
         return False
-
-
-def _without_depletion_ties(stage: Stage) -> FrozenSet[str]:
-    """The stage's gate nets less its own nodes that gate only its
-    depletion devices (the module docstring says why)."""
-    switching = {device.gate for device in stage.transistors
-                 if device.kind is not DeviceKind.NMOS_DEP}
-    internal = stage.internal_nodes
-    return frozenset(gate for gate in stage.gate_inputs
-                     if gate in switching or gate not in internal)
