@@ -5,6 +5,8 @@ analyzer sweep engine and its equivalence to fresh analyzers, the
 per-batch perf aggregation, and the sweep reports.
 """
 
+import hashlib
+import pathlib
 from unittest import mock
 
 import pytest
@@ -25,6 +27,7 @@ from repro.batch.vectors import parse_timing_token, with_default_slope
 from repro.circuits import adder_input_names, ripple_carry_adder
 from repro.core.timing import InputSpec, TimingAnalyzer
 from repro.errors import SweepError
+from repro.netlist import sim_format
 from repro.perf import BatchPerf, PerfCounters
 from repro.tech import CMOS3
 
@@ -483,3 +486,78 @@ def test_shared_analyzer_evals_pinned(cmos3_shipped):
 
     assert all(answers(one) == answers(other)
                for one, other in zip(shared, fresh))
+
+
+# -- sweep report bytes -----------------------------------------------------
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+
+
+def _rca8_gray_source():
+    """The engine golden's Gray sweep: rca8, four axes, slope 0.3 ns."""
+    return CartesianSweep(
+        base={name: InputSpec(0.0, 0.0, 0.3e-9)
+              for name in adder_input_names(8)},
+        axes={name: [InputSpec(0.0, 0.0, 0.3e-9),
+                     InputSpec(0.5e-9, 0.5e-9, 0.3e-9)]
+              for name in ("cin", "a2", "b5", "a7")})
+
+
+def _rca8_late_to_early_source():
+    """rca8 in row-major order: ``cin`` steps from late to early between
+    rows, where the critical path starts, and its early value has no
+    fall edge, so every carry fall it launched vanishes."""
+    return CartesianSweep(
+        base={name: InputSpec(0.0, 0.0, 0.3e-9)
+              for name in adder_input_names(8)},
+        axes={"cin": [InputSpec(3e-9, 3e-9, 0.3e-9),
+                      InputSpec(0.1e-9, None, 0.3e-9)],
+              "a3": [InputSpec(0.0, 0.0, 0.3e-9),
+                     InputSpec(0.4e-9, 0.4e-9, 0.1e-9)],
+              "b6": [0.0, 0.2e-9, 0.6e-9]})
+
+
+def _report(case):
+    if case == "nand2_vec_out":
+        network = sim_format.load(str(EXAMPLES / "nand2.sim"), CMOS3)
+        sweep = run_sweep(network, load_vector_file(
+            str(EXAMPLES / "nand2.vec")), watch=["out"], delta=True)
+        return format_sweep_summary(sweep)
+    network = ripple_carry_adder(CMOS3, 8)
+    if case == "rca8_given_late_to_early":
+        sweep = run_sweep(network, _rca8_late_to_early_source(),
+                          delta=True, order="given")
+    else:
+        watch = None if case == "rca8_gray_all" else ["s7", "cout"]
+        sweep = run_sweep(network, _rca8_gray_source(), watch=watch,
+                          delta=True, order="gray")
+    return format_sweep_summary(sweep)
+
+
+#: sha256 and line count of each report, recorded before the delta
+#: engine worked out a result's latest event from what moved.
+REPORT_PINS = {
+    "rca8_gray_all": (
+        "e26ac9bb8bb84b23201051058c34bdf16d62bcf988606c18474bc6959ae47502",
+        48),
+    "rca8_gray_watch": (
+        "942cb240d214adee1b37ebd3eabdb452a38cfc52d0db4d98fba925db0f43e1f6",
+        48),
+    "rca8_given_late_to_early": (
+        "7e5caee6ce33e459e64d56ff0b47587a919b694ea28d9c07eb6799ff1637e20d",
+        41),
+    "nand2_vec_out": (
+        "3bd3d4749d8c07414a06ad7b8f21ba3316680f3da06c420d3837604e3073704d",
+        19),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_PINS))
+def test_sweep_report_bytes_pinned(case):
+    """``format_sweep_summary`` of four delta sweeps, byte for byte: the
+    per-scenario worst events (with and without a watch list, exact time
+    ties included), the late-to-early and vanishing steps, the labels
+    and the worst vector's critical path."""
+    text = _report(case)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (digest, len(text.splitlines())) == REPORT_PINS[case]
