@@ -276,7 +276,13 @@ class CartesianSweep(VectorSource):
     ``axes`` maps node names to candidate :class:`InputSpec` (or bare
     times); ``base`` supplies every other input.  Vectors are emitted in
     row-major order of the axes' declaration, labeled with the axis
-    values (``a=0,b=1n``).
+    values (``a=0,b=1e-09``).  An axis with two values that print alike
+    that way (a slope step, or times equal to six digits) labels all its
+    values with their exact timing-token text (``a=0.0/1e-10``).
+
+    The base and every axis value are normalized once, when
+    :meth:`vectors` starts, so each vector shares its spec objects with
+    the base and the axes: a bad value raises before the first vector.
     """
 
     base: Mapping[str, object]
@@ -291,20 +297,19 @@ class CartesianSweep(VectorSource):
                 raise SweepError(f"sweep axis {name!r} has no values")
         return names, [len(self.axes[name]) for name in names]
 
-    def _vector_at(self, names: List[str], counters: List[int]) -> Vector:
-        inputs = {n: _as_spec(s) for n, s in self.base.items()}
-        parts = []
-        for name, position in zip(names, counters):
-            value = self.axes[name][position]
-            inputs[name] = _as_spec(value)
-            parts.append(f"{name}={_axis_label(value)}")
-        return Vector(label=",".join(parts), inputs=inputs)
-
     def vectors(self) -> Iterator[Vector]:
         names, radices = self._shape()
+        base = {name: _as_spec(spec) for name, spec in self.base.items()}
+        axes = [_axis_values(name, self.axes[name]) for name in names]
         counters = [0] * len(names)
         while True:
-            yield self._vector_at(names, counters)
+            inputs = base.copy()
+            parts = []
+            for name, values, position in zip(names, axes, counters):
+                spec, part = values[position]
+                inputs[name] = spec
+                parts.append(part)
+            yield Vector(label=",".join(parts), inputs=inputs)
             for index in reversed(range(len(names))):
                 counters[index] += 1
                 if counters[index] < radices[index]:
@@ -493,6 +498,21 @@ def _as_spec(value: object) -> InputSpec:
         return InputSpec(arrival_rise=float(value),
                          arrival_fall=float(value))
     raise SweepError(f"bad input spec {value!r}; expected InputSpec or time")
+
+
+def _axis_values(name: str, values: List[object]
+                 ) -> List[Tuple[InputSpec, str]]:
+    """Each value of axis *name* as its spec and its ``name=value``
+    label part: the short :func:`_axis_label`, or, when two of the
+    axis's short labels collide, the exact right-hand side of
+    :func:`format_timing_token` for every value of the axis (equal specs
+    still share a label)."""
+    specs = [_as_spec(value) for value in values]
+    labels = [_axis_label(value) for value in values]
+    if len(set(labels)) < len(labels):
+        labels = [format_timing_token(name, spec)[len(name) + 1:]
+                  for spec in specs]
+    return [(spec, f"{name}={label}") for spec, label in zip(specs, labels)]
 
 
 def _axis_label(value: object) -> str:

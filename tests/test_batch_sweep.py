@@ -220,6 +220,58 @@ class TestCartesianSweep:
         with pytest.raises(SweepError):
             list(CartesianSweep(base={}, axes={}))
 
+    def test_short_labels(self):
+        sweep = CartesianSweep(
+            base={"c": 0.0},
+            axes={"a": [0.0, 1e-9],
+                  "b": [InputSpec(2e-9, 2e-9, 1e-10),
+                        InputSpec(1e-10, None)]})
+        assert [v.label for v in sweep] == [
+            "a=0,b=2e-09", "a=0,b=1e-10r/-f",
+            "a=1e-09,b=2e-09", "a=1e-09,b=1e-10r/-f"]
+
+    def test_colliding_short_labels_read_exact(self):
+        """An axis whose values print alike at ``%g`` (a slope step,
+        times equal to six digits) is labeled with each value's exact
+        timing-token text; the other axes keep their short labels."""
+        slopes = CartesianSweep(
+            base={"c": 0.0},
+            axes={"a": [InputSpec(0.0, 0.0, 1e-10),
+                        InputSpec(0.0, 0.0, 3e-10)],
+                  "b": [0.0, 1e-9]})
+        assert [v.label for v in slopes] == [
+            "a=0.0/1e-10,b=0", "a=0.0/1e-10,b=1e-09",
+            "a=0.0/3e-10,b=0", "a=0.0/3e-10,b=1e-09"]
+        close = CartesianSweep(base={},
+                               axes={"a": [1.0000001e-9, 1.0000002e-9]})
+        assert [v.label for v in close] == ["a=1.0000001e-09",
+                                            "a=1.0000002e-09"]
+        for vector in close:
+            token = vector.label
+            assert parse_timing_token(token) == ("a", vector.inputs["a"])
+
+    def test_equal_specs_on_one_axis_still_collide(self, rca4):
+        base = {name: 0.0 for name in adder_input_names(4)}
+        sweep = CartesianSweep(base=base, axes={
+            "a0": [InputSpec(0.0, 0.0, 1e-10), InputSpec(0.0, 0.0, 1e-10)]})
+        with pytest.raises(SweepError, match="duplicate vector label "
+                           "'a0=0.0/1e-10'"):
+            run_sweep(rca4, sweep)
+
+    def test_vectors_share_the_normalized_base(self):
+        sweep = CartesianSweep(base={"c": 0.0, "a": 1e-9},
+                               axes={"a": [0.0, 2e-9], "b": [0.0]})
+        first, second = list(sweep)
+        assert list(first.inputs) == ["c", "a", "b"]
+        assert first.inputs["c"] is second.inputs["c"]
+        assert first.inputs["b"] is second.inputs["b"]
+        assert first.inputs["a"] == InputSpec(0.0, 0.0)
+
+    def test_bad_axis_value_raises_at_first_vector(self):
+        vectors = iter(CartesianSweep(base={}, axes={"a": [0.0, "x"]}))
+        with pytest.raises(SweepError, match="bad input spec 'x'"):
+            next(vectors)
+
 
 class TestRandomVectors:
     def test_seed_determinism(self):

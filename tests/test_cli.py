@@ -385,6 +385,16 @@ class TestArgumentChecks:
             self._argv(command, nand_file, "--input", "b=5n"), capsys)
         assert "duplicate node 'b' in --input" in err
 
+    def test_sweep_axis_of_slopes_has_distinct_labels(self, nand_file,
+                                                       capsys):
+        # Both values print "0" at %g, so the axis reads exact.
+        code = main(["sweep", nand_file, "--tech", "cmos3",
+                     "--no-characterize", "--input", "b=0",
+                     "--sweep", "a=0/100p,0/300p"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "a=0.0/1e-10" in out and "a=0.0/3e-10" in out
+
     def test_sweep_axis_given_twice_rejected(self, nand_file, capsys):
         err = self._fails_cleanly(
             self._argv("sweep", nand_file, "--sweep", "a=2n"), capsys)
