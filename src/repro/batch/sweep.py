@@ -15,7 +15,7 @@ and ``tests/test_batch_sweep.py`` lock that equivalence down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.timing import InputSpec, TimingAnalyzer, TimingResult
 from ..core.timing.analyzer import Arrival, Event
@@ -132,10 +132,12 @@ def _validate_vectors(analyzer: TimingAnalyzer,
     with a non-negative slope — checked up front so a typo in one
     ``.vec`` line fails fast with the offending vector named, instead of
     surfacing as a deep engine error after other vectors were already
-    analyzed.
+    analyzed.  A spec object that several vectors share (a cartesian
+    base, an axis value) has its values checked once.
     """
     labels: dict = {}
     normalized = []
+    checked: Set[int] = set()
     for position, vector in enumerate(vectors):
         previous = labels.get(vector.label)
         if previous is not None:
@@ -145,7 +147,8 @@ def _validate_vectors(analyzer: TimingAnalyzer,
                 "and lookups, so every vector needs its own")
         labels[vector.label] = position
         try:
-            normalized.append(analyzer._normalize_inputs(vector.inputs))
+            normalized.append(analyzer._normalize_inputs(vector.inputs,
+                                                         checked))
         except ReproError as exc:
             raise SweepError(
                 f"vector {vector.label!r}: {exc}") from exc

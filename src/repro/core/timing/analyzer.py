@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import ItemsView, ValuesView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import (
@@ -249,6 +249,42 @@ _set_cause = Arrival.cause.__set__
 _set_stage_delay = Arrival.stage_delay.__set__
 _set_link = Arrival.link.__set__
 
+#: What a completed run leaves for the next ``analyze_delta``: its
+#: normalized inputs, its arrivals and ranks by event, and its latest
+#: event, or None while that is not known.
+_Carryover = Tuple[Dict[str, InputSpec], Dict[int, Arrival], List[int],
+                   Optional[int]]
+
+
+def _latest(arrivals: Mapping[int, Arrival]) -> int:
+    """The latest event of *arrivals*, -1 when there is none: one pass
+    over every arrival.  An exact time tie goes to the smallest event
+    id, the first event in :func:`event_order`, whatever order the
+    engine committed them in."""
+    # Times are finite (inputs are checked), so the first arrival always
+    # beats the start.
+    latest, event = -math.inf, -1
+    for number, arrival in arrivals.items():
+        time = arrival.time
+        if time > latest or (time == latest and number < event):
+            latest, event = time, number
+    return event
+
+
+def _latest_among(arrivals: Mapping[int, Arrival], events: Iterable[int],
+                  event: int = -1) -> int:
+    """The latest of *event* (-1 for none) and each of *events* that has
+    an arrival, with :func:`_latest`'s tie rule."""
+    latest = -math.inf if event < 0 else arrivals[event].time
+    get = arrivals.get
+    for number in events:
+        arrival = get(number)
+        if arrival is not None:
+            time = arrival.time
+            if time > latest or (time == latest and number < event):
+                latest, event = time, number
+    return event
+
 
 def _moved(old: Optional[Arrival], new: Optional[Arrival]) -> bool:
     """Does an event's arrival differ from its carried-over one in what
@@ -359,6 +395,10 @@ class TimingResult:
     arrivals: ArrivalMap
     #: per-run observability: stage visits, model evals, cache hits, …
     perf: Optional[PerfCounters] = None
+    #: the latest event's int once known: a delta run works it out from
+    #: what moved, a cold result on its first :meth:`worst` call
+    _latest: Optional[int] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def arrival(self, node: str, transition: Transition) -> Arrival:
         from ...errors import NetlistError
@@ -382,24 +422,30 @@ class TimingResult:
         """The latest event over *nodes* (default: every computed event);
         an exact time tie goes to the smallest event id, the first event
         in :func:`event_order`, whatever order the engine committed them
-        in."""
+        in.
+
+        *nodes* costs a read of each named node's two events.  The
+        latest over every event is found once per result: a delta run
+        works it out from the events that moved
+        (:meth:`TimingAnalyzer.analyze_delta`), and a cold result makes
+        one pass over its arrivals on the first call."""
         arrivals, table = self.arrivals._arrivals, self.arrivals._table
-        candidates = arrivals.items()
         if nodes is not None:
-            wanted = {table.ids.get(self.network.node(n).name)
-                      for n in nodes}
-            candidates = [(e, a) for e, a in candidates if e >> 1 in wanted]
-            if not candidates:
+            ids = table.ids
+            events: List[int] = []
+            for name in nodes:
+                node = ids.get(self.network.node(name).name)
+                if node is not None:
+                    events += (2 * node, 2 * node + 1)
+            event = _latest_among(arrivals, events)
+            if event < 0:
                 raise TimingError("no arrivals for the requested nodes")
-        if not arrivals:
+        elif not arrivals:
             raise TimingError("analysis produced no arrivals")
-        # One pass; times are finite (inputs are checked), so the first
-        # candidate always beats the start.
-        latest, event = -math.inf, -1
-        for number, arrival in candidates:
-            time = arrival.time
-            if time > latest or (time == latest and number < event):
-                latest, event = time, number
+        else:
+            if self._latest is None:
+                self._latest = _latest(arrivals)
+            event = self._latest
         return table.objects[event] or table.event(event), arrivals[event]
 
     def critical_path(self, node: str,
@@ -588,14 +634,11 @@ class TimingAnalyzer:
         self._memo_rows: List[Dict[float, StageDelay]] = []
         # The Event of each event int, made when a result names it.
         self._events = _EventTable(self.graph)
-        # Delta carryover: the last completed run's (normalized inputs,
-        # arrivals and ranks by event).  analyze_delta() re-uses every
-        # arrival whose stage lies outside the changed inputs' dirty
-        # cone; a run copies the dicts it starts from, and its result
-        # is a read-only view of its own.
-        self._carryover: Optional[Tuple[Dict[str, InputSpec],
-                                        Dict[int, Arrival],
-                                        List[int]]] = None
+        # Delta carryover: the last completed run's _Carryover.
+        # analyze_delta() re-uses every arrival whose stage lies outside
+        # the changed inputs' dirty cone; a run copies the dicts it
+        # starts from, and its result is a read-only view of its own.
+        self._carryover: Optional[_Carryover] = None
 
     # ------------------------------------------------------------------
 
@@ -658,6 +701,10 @@ class TimingAnalyzer:
         shared level one can pop before its predecessor.  The result is
         bit-identical to :meth:`analyze` (the delta differential tests
         lock that equivalence); only its iteration order can differ.
+        It knows its latest event for :meth:`TimingResult.worst`, worked
+        out from the carried one and the events that can have moved; a
+        carried latest that moved earlier or vanished costs one pass
+        over every arrival.
 
         Falls back to a full :meth:`analyze` when there is no carryover
         (first run, after :meth:`invalidate_caches`, or after a run that
@@ -693,7 +740,7 @@ class TimingAnalyzer:
             with perf.timer("analyze"), \
                     _trace_span(name, inputs=len(inputs)) as scope:
                 carryover = propagate(inputs, perf)
-                result = self._result(carryover[1], perf)
+                result = self._result(carryover[1], carryover[3], perf)
                 scope.set(**{arg: perf.get(counter)
                              for arg, counter in summary})
         except BaseException:
@@ -712,19 +759,20 @@ class TimingAnalyzer:
         self._carryover = carryover
         return result
 
-    def _result(self, arrivals: Dict[int, Arrival],
+    def _result(self, arrivals: Dict[int, Arrival], latest: Optional[int],
                 perf: PerfCounters) -> TimingResult:
         """The run's result: a read-only :class:`ArrivalMap` over
-        *arrivals*, in the same (commit) order."""
-        return TimingResult(
+        *arrivals*, in the same (commit) order, and its *latest* event
+        when the run knows it."""
+        result = TimingResult(
             network=self.network, model_name=self.model.name,
             arrivals=ArrivalMap(arrivals, self._events), perf=perf)
+        result._latest = latest
+        return result
 
     def _propagate_delta(self, inputs: Mapping[str, Union[InputSpec, float]],
-                         perf: PerfCounters
-                         ) -> Tuple[Dict[str, InputSpec],
-                                    Dict[int, Arrival], List[int]]:
-        prev_inputs, prev_arrivals, prev_ranks = self._carryover
+                         perf: PerfCounters) -> _Carryover:
+        prev_inputs, prev_arrivals, prev_ranks, prev_latest = self._carryover
         normalized = self._checked(inputs)
         # Identity first: a sweep hands the same spec objects from one
         # vector to the next, and an identical object is an equal spec.
@@ -740,7 +788,7 @@ class TimingAnalyzer:
             # only ever mutate copies of it).
             perf.incr("stages_skipped", total_stages)
             perf.incr("arrivals_reused", len(prev_arrivals))
-            return normalized, prev_arrivals, prev_ranks
+            return normalized, prev_arrivals, prev_ranks, prev_latest
 
         cone = graph.dirty_cone(changed)
         perf.incr("cone_stages", len(cone))
@@ -766,10 +814,30 @@ class TimingAnalyzer:
                    arrivals, ranks)
         seeds = [event for event in input_events
                  if event in arrivals or event in prev_arrivals]
-        dropped += self._run_worklist(arrivals, ranks, perf, seeds,
-                                      forced=loops, carried=prev_arrivals)
+        more, evaluated = self._run_worklist(arrivals, ranks, perf, seeds,
+                                             forced=loops,
+                                             carried=prev_arrivals)
+        dropped += more
         perf.incr("arrivals_reused", len(prev_arrivals) - dropped)
-        return normalized, arrivals, ranks
+        # The latest event.  Only the changed inputs' events and the
+        # evaluated stages' internal events can differ from the
+        # carryover, and every other event was no later than the carried
+        # latest (a tie went to the smaller id).  So while the carried
+        # latest keeps an arrival no earlier than before, the new latest
+        # is the latest of it and those events; otherwise one full pass.
+        if prev_latest is None:
+            # Not known after a cold run: one pass finds it.
+            prev_latest = _latest(prev_arrivals)
+        before = prev_arrivals.get(prev_latest)
+        after = arrivals.get(prev_latest)
+        if before is None or after is None or after.time < before.time:
+            latest = _latest(arrivals)
+        else:
+            internal = graph.internal
+            latest = _latest_among(arrivals, input_events + [
+                2 * node + code for index in evaluated
+                for node in internal[index] for code in (0, 1)], prev_latest)
+        return normalized, arrivals, ranks, latest
 
     def analyze_many(self,
                      scenarios: Iterable[Mapping[str, Union[InputSpec,
@@ -808,15 +876,13 @@ class TimingAnalyzer:
         return results
 
     def _propagate(self, inputs: Mapping[str, Union[InputSpec, float]],
-                   perf: PerfCounters
-                   ) -> Tuple[Dict[str, InputSpec],
-                              Dict[int, Arrival], List[int]]:
+                   perf: PerfCounters) -> _Carryover:
         arrivals: Dict[int, Arrival] = {}
         ranks = [_PRIMARY_RANK] * len(self._events.objects)
         normalized = self._checked(inputs)
         seeds = self._seed(normalized, arrivals, ranks)
         self._run_worklist(arrivals, ranks, perf, seeds)
-        return normalized, arrivals, ranks
+        return normalized, arrivals, ranks, None
 
     def _seed(self, specs: Mapping[str, InputSpec],
               arrivals: Dict[int, Arrival],
@@ -839,9 +905,10 @@ class TimingAnalyzer:
                       perf: PerfCounters, seeds: Iterable[int],
                       forced: FrozenSet[int] = frozenset(),
                       carried: Optional[Mapping[int, Arrival]] = None
-                      ) -> int:
+                      ) -> Tuple[int, Set[int]]:
         """Drive the priority worklist to its fixpoint; return how many
-        carried-over arrivals it dropped.
+        carried-over arrivals it dropped, and the indices of the stages
+        it evaluated.
 
         *seeds* are events scheduled against the stages they sensitize;
         *forced* stage indices (the delta path's loop stages) are
@@ -937,7 +1004,7 @@ class TimingAnalyzer:
                                 ("stage_visits", visited)):
                 if count:
                     perf.incr(name, count)
-        return dropped
+        return dropped, evaluated
 
     # ------------------------------------------------------------------
 
@@ -949,10 +1016,19 @@ class TimingAnalyzer:
             return inputs
         return self._normalize_inputs(inputs)
 
-    def _normalize_inputs(self, inputs: Mapping[str, Union[InputSpec, float]]
+    def _normalize_inputs(self, inputs: Mapping[str, Union[InputSpec, float]],
+                          checked: Optional[Set[int]] = None
                           ) -> Dict[str, InputSpec]:
+        """*inputs* keyed by canonical primary-input name, each an
+        :class:`InputSpec` with finite times and a non-negative slope.
+
+        *checked* holds the ``id()`` of each spec whose values passed
+        already: those are not checked again, and every spec checked
+        here is added.  The caller keeps those specs alive, so no id
+        names another object (a sweep holds all its vectors)."""
         normalized = _CheckedInputs()
         primary = self.graph.inputs
+        resolved = False
         for name, spec in inputs.items():
             key = name
             if key not in primary:
@@ -963,23 +1039,30 @@ class TimingAnalyzer:
                     raise TimingError(
                         f"input {name!r} is not a primary input")
                 key = node.name
+                resolved = True
             if not isinstance(spec, InputSpec):
                 spec = InputSpec(arrival_rise=float(spec),
                                  arrival_fall=float(spec))
-            for value in (spec.arrival_rise, spec.arrival_fall, spec.slope):
-                if value is not None and not math.isfinite(value):
+            if checked is None or id(spec) not in checked:
+                for value in (spec.arrival_rise, spec.arrival_fall,
+                              spec.slope):
+                    if value is not None and not math.isfinite(value):
+                        raise TimingError(
+                            f"input {name!r}: timing value {value!r} is "
+                            "not finite")
+                if spec.slope < 0.0:
                     raise TimingError(
-                        f"input {name!r}: timing value {value!r} is not "
-                        "finite")
-            if spec.slope < 0.0:
-                raise TimingError(
-                    f"input {name!r}: negative slope {spec.slope!r}")
+                        f"input {name!r}: negative slope {spec.slope!r}")
+                if checked is not None:
+                    checked.add(id(spec))
             normalized[key] = spec
-        missing = [name for name in primary if name not in normalized]
-        if missing:
-            raise TimingError(
-                "primary inputs without timing: " + ", ".join(sorted(missing))
-            )
+        # Distinct keys that are all primary inputs cover them all
+        # exactly when there are as many.
+        if resolved or len(normalized) != len(primary):
+            missing = [name for name in primary if name not in normalized]
+            if missing:
+                raise TimingError("primary inputs without timing: "
+                                  + ", ".join(sorted(missing)))
         normalized.graph = self.graph
         return normalized
 

@@ -26,7 +26,7 @@ from repro.batch import (
 from repro.batch.vectors import parse_timing_token, with_default_slope
 from repro.circuits import adder_input_names, ripple_carry_adder
 from repro.core.timing import InputSpec, TimingAnalyzer
-from repro.errors import SweepError
+from repro.errors import SweepError, TimingError
 from repro.netlist import sim_format
 from repro.perf import BatchPerf, PerfCounters
 from repro.tech import CMOS3
@@ -399,9 +399,9 @@ class TestNormalizeOnce:
         real = TimingAnalyzer._normalize_inputs
         calls = []
 
-        def counting(analyzer, inputs):
+        def counting(analyzer, inputs, *checked):
             calls.append(inputs)
-            return real(analyzer, inputs)
+            return real(analyzer, inputs, *checked)
 
         with mock.patch.object(TimingAnalyzer, "_normalize_inputs",
                                counting):
@@ -411,6 +411,43 @@ class TestNormalizeOnce:
         for vector, outcome in zip(rca4_vectors, sweep.outcomes):
             fresh = TimingAnalyzer(rca4).analyze(vector.inputs)
             assert outcome.result.arrivals == fresh.arrivals
+
+    def test_specs_in_the_checked_set_are_not_checked_again(self, rca4):
+        analyzer = TimingAnalyzer(rca4)
+        bad = InputSpec(0.0, 0.0, -1.0)
+        inputs = {name: bad for name in adder_input_names(4)}
+        checked = set()
+        with pytest.raises(TimingError, match="negative slope"):
+            analyzer._normalize_inputs(inputs, checked)
+        assert checked == set()
+        assert analyzer._normalize_inputs(inputs, {id(bad)}) == inputs
+        good = InputSpec(0.0, 0.0, 1e-10)
+        analyzer._normalize_inputs(dict.fromkeys(inputs, good), checked)
+        assert checked == {id(good)}
+
+    def test_a_bad_spec_among_shared_ones_names_its_vector(self, rca4):
+        base = {name: InputSpec(0.0, 0.0, 1e-10)
+                for name in adder_input_names(4)}
+        source = CartesianSweep(base=base, axes={
+            "b2": [0.0, 1e-9], "a0": [0.0, InputSpec(0.0, 0.0, -1.0)]})
+        with pytest.raises(SweepError, match="vector 'b2=0,a0=0.0/-1.0': "
+                           "input 'a0': negative slope -1.0"):
+            run_sweep(rca4, source)
+
+    def test_a_resolved_name_does_not_hide_a_missing_input(self):
+        """A name the stage graph does not hold (an input added after
+        the analyzer was built) resolves through the network: as many
+        keys as primary inputs, and still one missing."""
+        network = ripple_carry_adder(CMOS3, 4)
+        analyzer = TimingAnalyzer(network)
+        network.add_node("extra")
+        network.mark_input("extra")
+        inputs = {name: 0.0 for name in adder_input_names(4)
+                  if name != "b3"}
+        inputs["extra"] = 0.0
+        with pytest.raises(TimingError, match="primary inputs without "
+                           "timing: b3"):
+            analyzer._normalize_inputs(inputs, set())
 
     def test_inputs_checked_on_another_graph_are_checked_again(self, rca4):
         inputs = {name: 0.0 for name in adder_input_names(4)}

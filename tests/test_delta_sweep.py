@@ -6,7 +6,11 @@ greedy Hamming), the sweep engine's delta/order plumbing, the
 simulator's incremental vector API, and the CLI flags.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import (
     VECTOR_ORDERS,
@@ -22,6 +26,7 @@ from repro.batch import (
     vector_delta,
 )
 from repro.circuits import (
+    Gates,
     adder_input_names,
     inverter_chain,
     nand_gate,
@@ -29,10 +34,14 @@ from repro.circuits import (
 )
 from repro.cli import main
 from repro.core.timing import InputSpec, TimingAnalyzer, worst_events
-from repro.errors import SimulationError, SweepError
+from repro.core.timing import analyzer as analyzer_module
+from repro.core.timing.analyzer import Event
+from repro.errors import SimulationError, SweepError, TimingError
+from repro.netlist import Network
 from repro.switchlevel import SwitchSimulator
-from repro.tech import CMOS3
+from repro.tech import CMOS3, Transition
 
+from . import test_delta_differential as differential
 from .test_engine_golden import gray_sweep
 
 
@@ -456,3 +465,168 @@ def test_delta_sweep_counter_totals_pinned(cmos3_shipped, rca32_gray_inputs):
         "stage_visits": 919, "stages_skipped": 20277, "tree_template_hits": 588,
         "tree_template_misses": 24, "worklist_pushes": 1014,
         "worklist_stale_pops": 95}
+
+
+# -- the latest arrival from what moved ---------------------------------------
+
+def oracle_worst(result, nodes=None):
+    """``worst()`` as a full scan of every arrival (of *nodes*): the
+    latest time, an exact tie to the smallest event id; None when there
+    is no arrival."""
+    arrivals, names = result.arrivals.numbered()
+    wanted = (None if nodes is None
+              else {result.network.node(name).name for name in nodes})
+    best = None
+    for number, arrival in arrivals.items():
+        if wanted is not None and names[number >> 1] not in wanted:
+            continue
+        if best is None or (arrival.time, -number) > (arrivals[best].time,
+                                                      -best):
+            best = number
+    if best is None:
+        return None
+    return (Event(names[best >> 1], tuple(Transition)[best & 1]),
+            arrivals[best])
+
+
+def assert_worst_is_oracle(result, watches=(), context=None):
+    """``worst()`` and ``worst(nodes)`` for each of *watches* read what
+    the full scan reads, the same record included, or raise its
+    error."""
+    for nodes in (None, *watches):
+        expected = oracle_worst(result, nodes)
+        if expected is None:
+            message = ("analysis produced no arrivals" if nodes is None
+                       else "no arrivals for the requested nodes")
+            with pytest.raises(TimingError, match=message):
+                result.worst(nodes)
+            continue
+        event, arrival = result.worst(nodes)
+        assert event == expected[0], (context, nodes)
+        assert arrival is expected[1], (context, nodes)
+
+
+def count_full_passes():
+    """Patch the module's full pass over a result's arrivals with a
+    counting wrapper."""
+    return mock.patch.object(analyzer_module, "_latest",
+                             wraps=analyzer_module._latest)
+
+
+def _two_inverters():
+    """Inverters a -> x and b -> y, alike, so equal input timing gives
+    x and y exactly tied arrivals; x has the smaller event ids."""
+    net = Network(CMOS3, name="two_inverters")
+    gates = Gates(net)
+    gates.inverter("a", "x")
+    gates.inverter("b", "y")
+    net.mark_input("a", "b")
+    return net
+
+
+class TestLatestArrival:
+    """A delta run works out its result's latest event from the carried
+    one and the events that moved; each result must read what a full
+    scan of its arrivals reads."""
+
+    def test_gray_sweep(self):
+        network, vectors = gray_sweep()
+        results = TimingAnalyzer(network).analyze_many(vectors, delta=True)
+        for position, result in enumerate(results):
+            assert_worst_is_oracle(result, (["s7", "cout"], ["c3", "s0"]),
+                                   position)
+
+    def test_carried_latest_moves_earlier(self):
+        """cin starts the critical path: late to early moves the carried
+        latest earlier, and its early spec has no fall edge, so the
+        carried latest can vanish; each such step makes one full pass."""
+        network = ripple_carry_adder(CMOS3, 8)
+        base = {name: InputSpec(0.0, 0.0, 0.3e-9)
+                for name in adder_input_names(8)}
+        late = InputSpec(3e-9, 3e-9, 0.3e-9)
+        early = InputSpec(0.1e-9, None, 0.3e-9)
+        vectors = [{**base, "cin": spec}
+                   for spec in (late, early, late, early, early)]
+        vectors[-1]["a3"] = InputSpec(0.4e-9, 0.4e-9, 0.1e-9)
+        with count_full_passes() as full:
+            results = TimingAnalyzer(network).analyze_many(vectors,
+                                                           delta=True)
+        # The cold carryover, then each late -> early step.
+        assert full.call_count == 3
+        for position, result in enumerate(results):
+            assert_worst_is_oracle(result, (["cout"], ["cin", "c1"]),
+                                   position)
+
+    def test_vanished_input_edge(self):
+        net = inverter_chain(CMOS3, 3)
+        analyzer = TimingAnalyzer(net)
+        for spec in (InputSpec(0.0, 0.0, 0.2e-9),
+                     InputSpec(arrival_rise=0.1e-9, arrival_fall=None),
+                     InputSpec(arrival_rise=None, arrival_fall=None),
+                     InputSpec(0.0, 0.0, 0.2e-9)):
+            result = analyzer.analyze_delta({"in": spec})
+            assert_worst_is_oracle(result, (["out"], ["n1", "in"]), spec)
+
+    def test_exact_time_tie(self):
+        net = _two_inverters()
+        analyzer = TimingAnalyzer(net)
+        tied = []
+        for a, b in ((0.0, 1e-9), (1e-9, 1e-9), (1e-9, 0.0), (1e-9, 1e-9),
+                     (0.0, 0.0)):
+            result = analyzer.analyze_delta({"a": a, "b": b})
+            assert_worst_is_oracle(result, (["y", "x"], ["y"]), (a, b))
+            if a == b:
+                event, arrival = result.worst()
+                other = result.arrival("y", event.transition)
+                assert event.node == "x" and other.time == arrival.time
+                tied.append(event)
+        assert len(tied) == 3
+
+    def test_no_arrivals_for_the_requested_nodes(self):
+        net = nand_gate(CMOS3, 2)
+        inputs = sorted(node.name for node in net.inputs())
+        analyzer = TimingAnalyzer(net)
+        for held in inputs:
+            specs = {name: 0.0 for name in inputs}
+            specs[held] = InputSpec(arrival_rise=None, arrival_fall=None)
+            result = analyzer.analyze_delta(specs)
+            assert oracle_worst(result, [held]) is None
+            assert_worst_is_oracle(result, ([held], inputs), held)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fanout=differential.latch_fanout, value=st.integers(0, 1),
+           before=differential.latch_state, after=differential.latch_state,
+           vecs=differential.latch_vectors)
+    def test_random_latches(self, fanout, value, before, after, vecs):
+        """The random-latch differential's circuits and vectors: every
+        stage is a loop stage."""
+        net, pre, post = differential.TestDeltaOnRandomLatches._latch_fanout(
+            fanout, value, before, after)
+        analyzer = TimingAnalyzer(net, states=post, initial_states=pre)
+        last = f"g{len(fanout[1]) - 1}"
+        for index, (*ticks, slope) in enumerate(vecs):
+            inputs = {name: InputSpec(*(
+                (None, None) if tick < 0
+                else (tick * differential._TIME_STEP,) * 2),
+                slope=differential._SLOPES[slope])
+                for name, tick in zip(("set", "reset", "w", "x"), ticks)}
+            result = analyzer.analyze_delta(inputs)
+            assert_worst_is_oracle(result, ([last], ["q", "qb"]), index)
+
+
+def test_latest_full_passes_pinned(cmos3_shipped, rca32_gray_inputs):
+    """Over the 64 Gray-ordered rca32 vectors of the delta pin, the
+    carried latest never moves earlier, so the sweep makes one full pass
+    over a result's arrivals: against the cold carryover.  Every delta
+    result then reads its latest with no further pass; the cold result
+    makes its own on its first ``worst()``."""
+    network = ripple_carry_adder(cmos3_shipped, 32)
+    vectors = rca32_gray_inputs(("a16", "b18", "a21", "b24", "a27", "b31"))
+    with count_full_passes() as full:
+        results = TimingAnalyzer(network).analyze_many(vectors, delta=True)
+        assert full.call_count == 1
+        for position, result in enumerate(results[1:], start=1):
+            assert_worst_is_oracle(result, context=position)
+        assert full.call_count == 1
+        assert_worst_is_oracle(results[0])
+        assert full.call_count == 2
