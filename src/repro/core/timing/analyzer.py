@@ -1028,6 +1028,8 @@ class TimingAnalyzer:
         names another object (a sweep holds all its vectors)."""
         normalized = _CheckedInputs()
         primary = self.graph.inputs
+        if checked is None:
+            checked = set()
         resolved = False
         for name, spec in inputs.items():
             key = name
@@ -1043,7 +1045,7 @@ class TimingAnalyzer:
             if not isinstance(spec, InputSpec):
                 spec = InputSpec(arrival_rise=float(spec),
                                  arrival_fall=float(spec))
-            if checked is None or id(spec) not in checked:
+            if id(spec) not in checked:
                 for value in (spec.arrival_rise, spec.arrival_fall,
                               spec.slope):
                     if value is not None and not math.isfinite(value):
@@ -1053,8 +1055,7 @@ class TimingAnalyzer:
                 if spec.slope < 0.0:
                     raise TimingError(
                         f"input {name!r}: negative slope {spec.slope!r}")
-                if checked is not None:
-                    checked.add(id(spec))
+                checked.add(id(spec))
             normalized[key] = spec
         # Distinct keys that are all primary inputs cover them all
         # exactly when there are as many.
