@@ -199,6 +199,16 @@ class TestSweepCommand:
         assert "worst vector:" in out
         assert "critical path to" in out
 
+    def test_sweep_axis_of_slopes_has_distinct_labels(self, nand_file,
+                                                       capsys):
+        # Both values print "0" at %g, so the axis reads exact.
+        code = main(["sweep", nand_file, "--tech", "cmos3",
+                     "--no-characterize", "--input", "b=0",
+                     "--sweep", "a=0/100p,0/300p"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "a=0.0/1e-10" in out and "a=0.0/3e-10" in out
+
     def test_profile_output_shape(self, nand_file, tmp_path, capsys):
         vecs = self._vec_file(tmp_path, "a=0 b=0\na=100p b=0\n")
         code = main(["sweep", nand_file, "--tech", "cmos3",
@@ -384,16 +394,6 @@ class TestArgumentChecks:
         err = self._fails_cleanly(
             self._argv(command, nand_file, "--input", "b=5n"), capsys)
         assert "duplicate node 'b' in --input" in err
-
-    def test_sweep_axis_of_slopes_has_distinct_labels(self, nand_file,
-                                                       capsys):
-        # Both values print "0" at %g, so the axis reads exact.
-        code = main(["sweep", nand_file, "--tech", "cmos3",
-                     "--no-characterize", "--input", "b=0",
-                     "--sweep", "a=0/100p,0/300p"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "a=0.0/1e-10" in out and "a=0.0/3e-10" in out
 
     def test_sweep_axis_given_twice_rejected(self, nand_file, capsys):
         err = self._fails_cleanly(
