@@ -3,7 +3,8 @@
 Dirty cones on the stage graph, ``analyze_delta`` equivalence and
 carryover life-cycle, delta-minimizing vector orderings (Gray code,
 greedy Hamming), the sweep engine's delta/order plumbing, the
-simulator's incremental vector API, and the CLI flags.
+simulator's incremental vector API, the CLI flags, and the latest event
+a delta run works out from what moved, against a full-scan oracle.
 """
 
 from unittest import mock
